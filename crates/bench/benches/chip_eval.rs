@@ -3,7 +3,7 @@
 //! per chip exploration.
 
 use acim_arch::AcimSpec;
-use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network};
+use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 use acim_dse::{ChipDesignProblem, ChipDseConfig};
 use acim_moga::Problem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -15,7 +15,7 @@ fn chip_eval(c: &mut Criterion) {
 
     let evaluator = ChipEvaluator::s28_default();
     let spec = AcimSpec::from_dimensions(128, 32, 4, 4).expect("valid spec");
-    let network = Network::edge_cnn(3);
+    let network = WorkloadMix::single(Network::edge_cnn(3));
 
     for (name, rows, cols) in [("1x1", 1, 1), ("2x2", 2, 2), ("4x4", 4, 4)] {
         let chip = ChipSpec::new(
@@ -34,8 +34,8 @@ fn chip_eval(c: &mut Criterion) {
         });
     }
 
-    // Batch evaluation amortises thread spawning across chips — this is
-    // the shape a population-parallel DSE would use.
+    // Batch evaluation fans the chips out across workers — the shape a
+    // population-parallel DSE uses.
     let chips: Vec<ChipSpec> = (1..=8)
         .map(|n| {
             ChipSpec::new(MacroGrid::uniform(1, n, spec).expect("valid grid"), 64)

@@ -18,8 +18,8 @@
 //! * [`interconnect`] — mesh, global-buffer and digital-accumulation cost
 //!   parameters,
 //! * [`evaluate`] — the analytic chip evaluator: throughput, energy per
-//!   inference, area and an accuracy proxy, with rayon-parallel (and
-//!   bit-deterministic) layer evaluation,
+//!   inference, area and an accuracy proxy of a chip under a workload mix,
+//!   with a rayon-parallel (and bit-deterministic) batch over chips,
 //! * [`metrics_cache`] — the macro-metric reuse layer: a shared, bounded,
 //!   poison-tolerant cache of per-macro `DesignMetrics` the evaluator
 //!   consults instead of re-deriving the same macros chip after chip,
@@ -34,12 +34,13 @@
 //!
 //! ```
 //! use acim_arch::AcimSpec;
-//! use acim_chip::{evaluate_chip, ChipSpec, MacroGrid, Network};
+//! use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 //!
 //! # fn main() -> Result<(), acim_chip::ChipError> {
 //! let spec = AcimSpec::from_dimensions(128, 32, 4, 4)?;
 //! let chip = ChipSpec::new(MacroGrid::uniform(2, 2, spec)?, 64)?;
-//! let metrics = evaluate_chip(&chip, &Network::edge_cnn(2))?;
+//! let mix = WorkloadMix::single(Network::edge_cnn(2));
+//! let metrics = ChipEvaluator::s28_default().evaluate(&chip, &mix)?.combined();
 //! assert!(metrics.throughput_tops > 0.0);
 //! assert!(metrics.layers.len() == 4);
 //! # Ok(())
@@ -60,8 +61,7 @@ pub mod simulate;
 
 pub use error::ChipError;
 pub use evaluate::{
-    evaluate_chip, evaluate_chip_mix, ChipEvaluator, ChipMetrics, ChipSpec, LayerCost, MixMetrics,
-    MixObjective, TenantMetrics,
+    ChipEvaluator, ChipMetrics, ChipSpec, LayerCost, MixMetrics, MixObjective, TenantMetrics,
 };
 pub use grid::MacroGrid;
 pub use interconnect::{AccumulatorParams, BufferParams, ChipCostParams, InterconnectParams};

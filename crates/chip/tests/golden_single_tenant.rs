@@ -1,14 +1,15 @@
 //! Golden bit-identity regression for the multi-tenant refactor.
 //!
-//! The constants below are the `to_bits()` images of `evaluate_chip`
-//! captured on the last single-network-only revision (commit before the
-//! `WorkloadMix` refactor).  Both the legacy entry point and the
-//! mix-of-one path must keep reproducing them bit-exactly: any drift
-//! means the refactor changed single-tenant arithmetic, which it promises
-//! not to do.
+//! The constants below are the `to_bits()` images of the single-network
+//! chip evaluation captured on the last single-network-only revision
+//! (commit before the `WorkloadMix` refactor).  A network evaluated as a
+//! mix of one must keep reproducing them bit-exactly, both as its lone
+//! tenant's metrics and as the combined mix view: any drift means a
+//! refactor changed single-tenant arithmetic, which it promises not to
+//! do.
 
 use acim_arch::AcimSpec;
-use acim_chip::{evaluate_chip, evaluate_chip_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 
 /// `(tag, [latency, throughput, energy, area, accuracy, utilization,
 /// inferences/s])` as raw `f64::to_bits` values.
@@ -139,7 +140,13 @@ fn single_network_evaluation_matches_pre_refactor_golden_bits() {
     for (ctag, chip) in &chips() {
         for (ntag, network) in &networks() {
             let tag = format!("{ctag}/{ntag}");
-            let metrics = evaluate_chip(chip, network).unwrap();
+            let mix = WorkloadMix::single(network.clone());
+            let metrics = ChipEvaluator::s28_default()
+                .evaluate(chip, &mix)
+                .unwrap()
+                .tenants
+                .remove(0)
+                .metrics;
             assert_eq!(bits(&metrics), golden(&tag), "{tag} drifted");
         }
     }
@@ -151,7 +158,7 @@ fn mix_of_one_matches_pre_refactor_golden_bits() {
         for (ntag, network) in &networks() {
             let tag = format!("{ctag}/{ntag}");
             let mix = WorkloadMix::single(network.clone());
-            let metrics = evaluate_chip_mix(chip, &mix).unwrap();
+            let metrics = ChipEvaluator::s28_default().evaluate(chip, &mix).unwrap();
             assert!(metrics.is_single());
             assert_eq!(bits(&metrics.combined()), golden(&tag), "{tag} drifted");
         }

@@ -12,12 +12,10 @@
 //! aggregation ([`MixObjective`]) and an optional Monte-Carlo
 //! device-variation yield constraint ([`RobustnessConfig`]).
 //!
-//! Two levels of parallelism keep the exploration agile: within one chip,
-//! per-round objective evaluation runs in parallel under `rayon`; across
-//! the population, [`ChipDesignProblem`]'s
-//! [`Problem::evaluate_batch`] fans a whole NSGA-II generation out over
-//! the cores (order-preserving, so exploration remains bit-reproducible
-//! per seed).
+//! [`ChipDesignProblem`]'s [`Problem::evaluate_batch`] fans a whole
+//! NSGA-II generation out over the cores, one chip per task
+//! (order-preserving, so exploration remains bit-reproducible per seed).
+//! [`ChipExplorer`] runs the same NSGA-II driver as the macro explorer.
 //!
 //! With [`ChipDseConfig::heterogeneous`] the genome additionally carries
 //! **per-tile macro genes**, letting NSGA-II mix macro shapes across the
@@ -25,22 +23,20 @@
 //! layers next to long-local-array macros for energy-tolerant ones.
 
 use std::fmt;
-use std::ops::ControlFlow;
 
 use acim_chip::{
     ChipCostParams, ChipError, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache,
     MixMetrics, MixObjective, Network, TenantMetrics, WorkloadMix,
 };
 use acim_model::ModelParams;
-use acim_moga::{
-    CacheStats, CachedProblem, CancelToken, EvalStats, Evaluation, Nsga2, Nsga2Config,
-    ParetoArchive, Problem,
-};
+use acim_moga::{CacheStats, Evaluation, Problem};
 use rayon::prelude::*;
 
-use crate::encoding::{gene_from_index, index_from_gene, DesignEncoding};
+use crate::encoding::{gene_from_index, index_from_gene, Candidate, DesignEncoding};
 use crate::error::DseError;
-use crate::explorer::{pool_stats_since, ExploreOptions};
+use crate::explorer::{
+    check_run_shape, explore, session_genomes, ExploreOptions, ParetoSet, RunShape, SearchSpace,
+};
 use crate::robustness::{RobustnessConfig, RobustnessSweep};
 
 /// Configuration of one chip-level exploration run.
@@ -377,7 +373,7 @@ impl ChipDesignProblem {
     /// uniform chip.
     pub fn encode(
         &self,
-        candidate: &crate::encoding::Candidate,
+        candidate: &Candidate,
         rows: usize,
         cols: usize,
         buffer_kib: usize,
@@ -393,7 +389,7 @@ impl ChipDesignProblem {
     /// not fit the genome (`rows · cols > max_tiles` with mixed macros).
     pub fn encode_heterogeneous(
         &self,
-        tiles: &[crate::encoding::Candidate],
+        tiles: &[Candidate],
         rows: usize,
         cols: usize,
         buffer_kib: usize,
@@ -432,7 +428,7 @@ impl ChipDesignProblem {
     /// # Errors
     ///
     /// Returns the summed constraint violation of the infeasible tiles (as
-    /// in [`crate::encoding::Candidate::into_spec`]) wrapped in
+    /// in [`Candidate::into_spec`]) wrapped in
     /// `Err(Some)`, or `Err(None)` for chip-construction failures.
     fn decode_chip(&self, genes: &[f64]) -> Result<ChipSpec, Option<f64>> {
         let (rows, cols, buffer_kib) = self.decode_chip_genes(genes);
@@ -481,48 +477,10 @@ impl ChipDesignProblem {
         }
     }
 
-    /// The full genome → objectives path, with the per-round fan-out
-    /// toggled by the caller (on for one-off evaluations, off inside the
-    /// population-parallel batch).  Both settings are bit-identical.
-    fn evaluate_genome(&self, genes: &[f64], parallel_rounds: bool) -> Evaluation {
-        match self.decode_chip(genes) {
-            Ok(chip) => {
-                let result = if parallel_rounds {
-                    self.evaluator.evaluate_mix(&chip, &self.mix)
-                } else {
-                    self.evaluator.evaluate_mix_serial(&chip, &self.mix)
-                };
-                match result {
-                    Ok(metrics) => {
-                        let objectives = metrics.objectives(self.objective);
-                        // The yield sweep only runs for chips that are
-                        // otherwise feasible; zero violation keeps the
-                        // evaluation unconstrained, so robustness-off and
-                        // robustness-trivially-satisfied runs agree.
-                        let violation = self
-                            .robustness
-                            .as_ref()
-                            .map_or(0.0, |sweep| sweep.violation(&chip));
-                        if violation > 0.0 {
-                            Evaluation::new(objectives, violation)
-                        } else {
-                            Evaluation::unconstrained(objectives)
-                        }
-                    }
-                    // Model failures are heavily infeasible rather than
-                    // fatal, matching AcimDesignProblem.
-                    Err(_) => Evaluation::new([f64::MAX; 4], 10.0),
-                }
-            }
-            Err(Some(violation)) => Evaluation::new([f64::MAX; 4], violation),
-            Err(None) => Evaluation::new([f64::MAX; 4], 10.0),
-        }
-    }
-
     /// Decodes a genome into a full [`ChipDesignPoint`] when feasible.
     pub fn decode_point(&self, genes: &[f64]) -> Option<ChipDesignPoint> {
         let chip = self.decode_chip(genes).ok()?;
-        let mix_metrics = self.evaluator.evaluate_mix(&chip, &self.mix).ok()?;
+        let mix_metrics = self.evaluator.evaluate(&chip, &self.mix).ok()?;
         let metrics = mix_metrics.combined();
         Some(ChipDesignPoint {
             chip,
@@ -531,24 +489,13 @@ impl ChipDesignProblem {
         })
     }
 
-    /// Evaluates one chip explicitly (used by benches and reports): the
-    /// mix-level combined metrics, which for single-tenant problems are
-    /// that tenant's metrics unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the evaluation fails.
-    pub fn evaluate_chip(&self, chip: &ChipSpec) -> Result<ChipMetrics, ChipError> {
-        Ok(self.evaluator.evaluate_mix(chip, &self.mix)?.combined())
-    }
-
     /// Evaluates one chip explicitly with the full per-tenant breakdown.
     ///
     /// # Errors
     ///
     /// Returns [`ChipError`] when the evaluation fails.
     pub fn evaluate_chip_mix(&self, chip: &ChipSpec) -> Result<MixMetrics, ChipError> {
-        self.evaluator.evaluate_mix(chip, &self.mix)
+        self.evaluator.evaluate(chip, &self.mix)
     }
 }
 
@@ -606,16 +553,37 @@ impl Problem for ChipDesignProblem {
     }
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        self.evaluate_genome(genes, true)
+        match self.decode_chip(genes) {
+            Ok(chip) => match self.evaluator.evaluate(&chip, &self.mix) {
+                Ok(metrics) => {
+                    let objectives = metrics.objectives(self.objective);
+                    // The yield sweep only runs for chips that are
+                    // otherwise feasible; zero violation keeps the
+                    // evaluation unconstrained, so robustness-off and
+                    // robustness-trivially-satisfied runs agree.
+                    let violation = self
+                        .robustness
+                        .as_ref()
+                        .map_or(0.0, |sweep| sweep.violation(&chip));
+                    if violation > 0.0 {
+                        Evaluation::new(objectives, violation)
+                    } else {
+                        Evaluation::unconstrained(objectives)
+                    }
+                }
+                // Model failures are heavily infeasible rather than
+                // fatal, matching AcimDesignProblem.
+                Err(_) => Evaluation::new([f64::MAX; 4], 10.0),
+            },
+            Err(Some(violation)) => Evaluation::new([f64::MAX; 4], violation),
+            Err(None) => Evaluation::new([f64::MAX; 4], 10.0),
+        }
     }
 
     /// Population-parallel batch evaluation: one work-stealing task **per
     /// genome** (`with_max_len(1)`), so a single deep heterogeneous chip
     /// cannot stall a chunk of uniform ones — stealing rebalances the
     /// skew that heterogeneous grids and variable layer counts produce.
-    /// Within the batch each chip's layers are costed serially —
-    /// parallelising across the population scales better than across a
-    /// handful of layers, and nesting both would oversubscribe the cores.
     /// The tasks borrow the caller's genome slice in place on the scoped
     /// executor, so the batch path clones neither the problem nor the
     /// genomes.  Order-preserving and bit-identical to the serial map, so
@@ -624,7 +592,7 @@ impl Problem for ChipDesignProblem {
         genomes
             .par_iter()
             .with_max_len(1)
-            .map(|genes| self.evaluate_genome(genes, false))
+            .map(|genes| self.evaluate(genes))
             .collect()
     }
 
@@ -633,51 +601,49 @@ impl Problem for ChipDesignProblem {
     }
 }
 
-/// The Pareto set of a chip exploration run.
-#[derive(Debug, Clone, Default)]
-pub struct ChipParetoSet {
-    points: Vec<ChipDesignPoint>,
-    /// Evaluation-engine statistics of the run: evaluations requested,
-    /// cache hit/miss counters (hits are chips the optimiser re-sampled
-    /// and the engine did not re-evaluate), and wall-clock breakdown.
-    pub engine: EvalStats,
-}
+impl SearchSpace for ChipDesignProblem {
+    type Point = ChipDesignPoint;
 
-impl ChipParetoSet {
-    /// The frontier points.
-    pub fn points(&self) -> &[ChipDesignPoint] {
-        &self.points
+    fn genome_key(&self) -> impl Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static {
+        let keyer = self.keyer();
+        move |genes| keyer.key(genes)
     }
 
-    /// Number of frontier points.
-    pub fn len(&self) -> usize {
-        self.points.len()
+    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self {
+        self.with_macro_cache(cache)
     }
 
-    /// Returns `true` when the frontier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+    fn macro_stats(&self) -> CacheStats {
+        self.macro_cache_stats()
     }
 
-    /// Iterates over the frontier points.
-    pub fn iter(&self) -> impl Iterator<Item = &ChipDesignPoint> {
-        self.points.iter()
+    fn encode_point(&self, point: &ChipDesignPoint) -> Option<Vec<f64>> {
+        let grid = &point.chip.grid;
+        let tiles: Vec<Candidate> = grid
+            .specs()
+            .iter()
+            .map(|spec| Candidate {
+                height: spec.height(),
+                width: spec.width(),
+                local_array: spec.local_array(),
+                adc_bits: spec.adc_bits(),
+            })
+            .collect();
+        self.encode_heterogeneous(&tiles, grid.rows(), grid.cols(), point.chip.buffer_kib)
     }
 
-    /// Consumes the set and returns the points.
-    pub fn into_points(self) -> Vec<ChipDesignPoint> {
-        self.points
-    }
-
-    /// The point with the best (largest) value of `key`.
-    pub fn best_by<F: Fn(&ChipDesignPoint) -> f64>(&self, key: F) -> Option<&ChipDesignPoint> {
-        self.points.iter().max_by(|a, b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .expect("metrics must not be NaN")
-        })
+    /// Decoding repeats the full chip evaluation, which is why the driver
+    /// defers it to the archive survivors.
+    fn decode_points(&self, genomes: &[Vec<f64>]) -> Vec<ChipDesignPoint> {
+        genomes
+            .iter()
+            .filter_map(|genes| self.decode_point(genes))
+            .collect()
     }
 }
+
+/// The frontier of a chip exploration.
+pub type ChipParetoSet = ParetoSet<ChipDesignPoint>;
 
 /// The chip-level explorer: NSGA-II over [`ChipDesignProblem`] with an
 /// archive of every feasible non-dominated chip evaluated.
@@ -695,16 +661,7 @@ impl ChipExplorer {
     /// Returns [`DseError::InvalidConfig`] when the configuration is
     /// inconsistent.
     pub fn new(config: ChipDseConfig) -> Result<Self, DseError> {
-        if config.population_size < 4 || !config.population_size.is_multiple_of(2) {
-            return Err(DseError::InvalidConfig(
-                "population size must be an even number >= 4".into(),
-            ));
-        }
-        if config.generations == 0 {
-            return Err(DseError::InvalidConfig(
-                "generation count must be at least 1".into(),
-            ));
-        }
+        check_run_shape(config.population_size, config.generations)?;
         let problem = ChipDesignProblem::new(&config)?;
         Ok(Self { config, problem })
     }
@@ -746,140 +703,25 @@ impl ChipExplorer {
     pub fn explore_with<F>(
         &self,
         options: &ExploreOptions,
-        mut progress: F,
+        progress: F,
     ) -> Result<ChipParetoSet, DseError>
     where
         F: FnMut(usize),
     {
-        let n_var = Problem::num_variables(&self.problem);
-        for genome in &options.warm_start {
-            if genome.len() != n_var {
-                return Err(DseError::InvalidConfig(format!(
-                    "warm-start genome has {} genes, chip design space has {n_var}",
-                    genome.len()
-                )));
-            }
-        }
-        if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
-            return Err(DseError::from_cancel(reason, 0, self.config.generations));
-        }
-        let nsga_config = Nsga2Config {
+        let run = RunShape {
+            array_size: self.config.array_size,
             population_size: self.config.population_size,
             generations: self.config.generations,
-            initial_population: options.warm_start.clone(),
-            ..Default::default()
+            seed: self.config.seed,
         };
-        // Archive genomes against the objectives NSGA-II already computed;
-        // decoding a genome into a `ChipDesignPoint` repeats the full chip
-        // evaluation, so it is deferred to the surviving archive entries.
-        // The cache wrapper (keyed by decoded buckets) absorbs re-sampled
-        // duplicate chips, and its batch path fans each generation's
-        // unique misses across cores.
-        let mut archive: ParetoArchive<Vec<f64>> = ParetoArchive::new();
-        // Route per-macro metric derivation through the shared reuse
-        // layer when the caller injected one: the cache sits *below* the
-        // genome-level cache, so even a genome never seen before reuses
-        // the macro metrics earlier chips (or macro sessions) derived.
-        let problem = match &options.macro_cache {
-            Some(cache) => self.problem.clone().with_macro_cache(cache.clone()),
-            None => self.problem.clone(),
-        };
-        let problem = &problem;
-        let keyer = self.problem.keyer();
-        let cached = CachedProblem::with_key_fn(problem, move |genes| keyer.key(genes))
-            .with_shared_store(options.store());
-        // Warm-start seeds are archived up front (feasible ones only), so
-        // the warm front dominates-or-equals the front it was seeded from.
-        // Scoring them goes through the cache: when the seeds came from a
-        // request sharing this store, every one is a hit.
-        if !options.warm_start.is_empty() {
-            let evals = cached.evaluate_batch(&options.warm_start);
-            for (genome, eval) in options.warm_start.iter().zip(evals) {
-                if eval.is_feasible() {
-                    archive.insert(eval.objectives, genome.clone());
-                }
-            }
-        }
-        let pool_before = rayon::pool_metrics();
-        let result = Nsga2::new(&cached, nsga_config)
-            .with_seed(self.config.seed)
-            .run_with_observer(|generation, population| {
-                for individual in population {
-                    if individual.is_feasible() {
-                        archive.insert(individual.objectives.clone(), individual.genes.clone());
-                    }
-                }
-                progress(generation);
-                // Cooperative cancellation at the generation boundary: the
-                // completed generation is archived and its cache fills are
-                // already shared, so an interrupted run's side effects are
-                // a clean prefix of an uninterrupted one.
-                match options.cancel.as_ref().map(CancelToken::is_triggered) {
-                    Some(true) => ControlFlow::Break(()),
-                    _ => ControlFlow::Continue(()),
-                }
-            });
-        if result.generations < self.config.generations {
-            let reason = options
-                .cancel
-                .as_ref()
-                .and_then(CancelToken::status)
-                .expect("early NSGA-II stop without a tripped cancel token");
-            return Err(DseError::from_cancel(
-                reason,
-                result.generations,
-                self.config.generations,
-            ));
-        }
-        for individual in &result.population {
-            if individual.is_feasible() {
-                archive.insert(individual.objectives.clone(), individual.genes.clone());
-            }
-        }
-
-        let points: Vec<ChipDesignPoint> = archive
-            .into_entries()
-            .into_iter()
-            .filter_map(|e| problem.decode_point(&e.payload))
-            .collect();
-        if points.is_empty() {
-            return Err(DseError::EmptyDesignSpace {
-                array_size: self.config.array_size,
-            });
-        }
-        let mut engine = result.engine;
-        engine.cache = cached.stats();
-        engine.macro_cache = problem.macro_cache_stats();
-        engine.pool = pool_stats_since(&pool_before);
-        Ok(ChipParetoSet { points, engine })
+        explore(&self.problem, run, options, progress)
     }
 
     /// Re-encodes frontier points into warm-start genomes for a follow-up
     /// run over the same design space (points whose macros or grid fall
     /// outside this problem's catalogue are skipped).
     pub fn session_genomes(&self, points: &[ChipDesignPoint]) -> Vec<Vec<f64>> {
-        points
-            .iter()
-            .filter_map(|point| {
-                let tiles: Vec<crate::encoding::Candidate> = (0..point.chip.grid.num_macros())
-                    .map(|i| {
-                        let spec = point.chip.grid.spec(i);
-                        crate::encoding::Candidate {
-                            height: spec.height(),
-                            width: spec.width(),
-                            local_array: spec.local_array(),
-                            adc_bits: spec.adc_bits(),
-                        }
-                    })
-                    .collect();
-                self.problem.encode_heterogeneous(
-                    &tiles,
-                    point.chip.grid.rows(),
-                    point.chip.grid.cols(),
-                    point.chip.buffer_kib,
-                )
-            })
-            .collect()
+        session_genomes(&self.problem, points)
     }
 }
 
@@ -1271,26 +1113,6 @@ mod tests {
                 }),
                 "cold frontier point lost under eviction"
             );
-        }
-    }
-
-    #[test]
-    fn private_cache_capacity_bound_is_honoured_without_changing_results() {
-        let explorer = ChipExplorer::new(quick_config()).unwrap();
-        let unbounded = explorer.explore().unwrap();
-        let bounded = explorer
-            .explore_with(
-                &ExploreOptions {
-                    cache_capacity: Some(4),
-                    ..Default::default()
-                },
-                |_| {},
-            )
-            .unwrap();
-        assert!(bounded.engine.cache.evictions > 0);
-        assert_eq!(unbounded.len(), bounded.len());
-        for (a, b) in unbounded.iter().zip(bounded.iter()) {
-            assert_eq!(a.objective_vector(), b.objective_vector());
         }
     }
 

@@ -1,21 +1,26 @@
 //! The MOGA-based design-space explorer (Figure 4, "MOGA-based Design Space
 //! Explorer (NSGA-II)").
 //!
+//! One NSGA-II driver serves every design space: the macro space
+//! ([`AcimDesignProblem`], driven by [`DesignSpaceExplorer`]) and the chip
+//! space (`ChipDesignProblem`, driven by `ChipExplorer`) differ only in
+//! their genome, their cache key and the point a genome decodes to.
+//!
 //! Long-lived callers (the `easyacim` `ExplorationService`) drive the
-//! explorer through [`DesignSpaceExplorer::explore_with`], which accepts
-//! [`ExploreOptions`] — a shared evaluation-cache store amortised across
-//! requests and a warm-start seed population from a previous run's
-//! archive — plus a per-generation progress callback.  The plain
-//! [`DesignSpaceExplorer::explore`] remains the cold single-run path and
-//! is bit-identical to what it produced before these injection points
-//! existed.
+//! explorers through `explore_with`, which accepts [`ExploreOptions`] — a
+//! shared evaluation-cache store amortised across requests and a
+//! warm-start seed population from a previous run's archive — plus a
+//! per-generation progress callback.  The plain `explore` remains the
+//! cold single-run path and is bit-identical to what it produced before
+//! these injection points existed.
 
 use std::ops::ControlFlow;
 
 use acim_chip::MacroMetricsCache;
 use acim_model::ModelParams;
 use acim_moga::{
-    CacheStore, CachedProblem, CancelToken, EvalStats, Nsga2, Nsga2Config, ParetoArchive, PoolStats,
+    CacheStats, CacheStore, CachedProblem, CancelToken, EvalStats, Individual, Nsga2, Nsga2Config,
+    ParetoArchive, PoolStats, Problem,
 };
 
 use crate::error::DseError;
@@ -23,8 +28,8 @@ use crate::problem::AcimDesignProblem;
 use crate::solution::DesignPoint;
 
 /// Injection points a long-lived caller can thread into an exploration
-/// run.  The default (no cache handles, no bounds, no warm-start genomes)
-/// reproduces a cold, self-contained run exactly.
+/// run.  The default (no cache handles, no warm-start genomes) reproduces
+/// a cold, self-contained run exactly.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreOptions {
     /// Shared evaluation-cache store.  `None` gives the run a fresh
@@ -32,11 +37,6 @@ pub struct ExploreOptions {
     /// over the **same design space** produced — the store trusts its
     /// keys, so handing it to a run over a different space poisons it.
     pub cache: Option<CacheStore>,
-    /// Capacity bound for the run's **private** evaluation cache, applied
-    /// only when [`ExploreOptions::cache`] is `None` (a shared store
-    /// carries its own bound from construction).  `None` = unbounded.
-    /// Bounding changes hit/miss/eviction counters, never results.
-    pub cache_capacity: Option<usize>,
     /// Shared macro-metric cache (see `acim_chip::MacroMetricsCache`):
     /// per-macro `DesignMetrics` reused **below** the genome-level cache,
     /// across chips, requests, and mixed macro + chip sessions over the
@@ -56,30 +56,6 @@ pub struct ExploreOptions {
     /// token that never trips is unobservable: the run (RNG stream, cache
     /// fills, frontier) is bit-identical to one without a token.
     pub cancel: Option<CancelToken>,
-}
-
-impl ExploreOptions {
-    /// The run's genome-level cache store: the shared one when injected,
-    /// otherwise a fresh private store honouring
-    /// [`ExploreOptions::cache_capacity`].
-    pub(crate) fn store(&self) -> CacheStore {
-        match (&self.cache, self.cache_capacity) {
-            (Some(store), _) => store.clone(),
-            (None, Some(capacity)) => CacheStore::bounded(capacity),
-            (None, None) => CacheStore::new(),
-        }
-    }
-}
-
-/// Converts a pool-metrics delta into the [`PoolStats`] embedded in
-/// [`EvalStats`].
-pub(crate) fn pool_stats_since(before: &rayon::PoolMetrics) -> PoolStats {
-    let delta = rayon::pool_metrics().delta_since(before);
-    PoolStats {
-        tasks_executed: delta.tasks_executed(),
-        steals: delta.steals(),
-        tasks_per_worker: delta.tasks_per_slot,
-    }
 }
 
 /// Configuration of one exploration run.
@@ -115,20 +91,23 @@ impl Default for DseConfig {
     }
 }
 
-/// The Pareto-frontier set produced by an exploration run: every feasible,
-/// mutually non-dominated design encountered during the search.
-#[derive(Debug, Clone, Default)]
-pub struct ParetoFrontierSet {
-    points: Vec<DesignPoint>,
+/// The Pareto set produced by an exploration run: every feasible, mutually
+/// non-dominated design encountered during the search.
+#[derive(Debug, Clone)]
+pub struct ParetoSet<P> {
+    points: Vec<P>,
     /// Evaluation-engine statistics of the run: evaluations requested,
     /// cache hit/miss counters (hits are designs the optimiser re-sampled
     /// and the engine did not re-evaluate), and wall-clock breakdown.
     pub engine: EvalStats,
 }
 
-impl ParetoFrontierSet {
+/// The frontier of a macro exploration.
+pub type ParetoFrontierSet = ParetoSet<DesignPoint>;
+
+impl<P> ParetoSet<P> {
     /// The frontier design points.
-    pub fn points(&self) -> &[DesignPoint] {
+    pub fn points(&self) -> &[P] {
         &self.points
     }
 
@@ -143,24 +122,216 @@ impl ParetoFrontierSet {
     }
 
     /// Iterates over the frontier points.
-    pub fn iter(&self) -> impl Iterator<Item = &DesignPoint> {
+    pub fn iter(&self) -> impl Iterator<Item = &P> {
         self.points.iter()
     }
 
     /// Consumes the set and returns the points.
-    pub fn into_points(self) -> Vec<DesignPoint> {
+    pub fn into_points(self) -> Vec<P> {
         self.points
     }
 
     /// The point with the best (largest) value of a metric selected by
     /// `key`, if the frontier is non-empty.
-    pub fn best_by<F: Fn(&DesignPoint) -> f64>(&self, key: F) -> Option<&DesignPoint> {
+    pub fn best_by<F: Fn(&P) -> f64>(&self, key: F) -> Option<&P> {
         self.points.iter().max_by(|a, b| {
             key(a)
                 .partial_cmp(&key(b))
                 .expect("metrics must not be NaN")
         })
     }
+}
+
+/// A design space the shared NSGA-II driver can explore.
+pub(crate) trait SearchSpace: Problem + Clone {
+    /// The decoded design a frontier holds.
+    type Point;
+
+    /// A self-contained genome → cache-key function: every genome that
+    /// decodes to the same design shares one key.
+    fn genome_key(&self) -> impl Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static;
+
+    /// This space with per-macro metrics routed through `cache`.
+    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self;
+
+    /// Hit/miss attribution against the attached macro-metric cache.
+    fn macro_stats(&self) -> CacheStats;
+
+    /// Re-encodes a point into a genome; `None` when it lies outside the
+    /// space's catalogue.
+    fn encode_point(&self, point: &Self::Point) -> Option<Vec<f64>>;
+
+    /// Decodes genomes into points in input order, dropping infeasible
+    /// ones.
+    fn decode_points(&self, genomes: &[Vec<f64>]) -> Vec<Self::Point>;
+}
+
+/// The NSGA-II run parameters the explorer configurations share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunShape {
+    /// Reported by [`DseError::EmptyDesignSpace`].
+    pub(crate) array_size: usize,
+    pub(crate) population_size: usize,
+    pub(crate) generations: usize,
+    pub(crate) seed: u64,
+}
+
+/// The population/generation check both explorer constructors run.
+pub(crate) fn check_run_shape(population_size: usize, generations: usize) -> Result<(), DseError> {
+    if population_size < 4 || !population_size.is_multiple_of(2) {
+        return Err(DseError::InvalidConfig(
+            "population size must be an even number >= 4".into(),
+        ));
+    }
+    if generations == 0 {
+        return Err(DseError::InvalidConfig(
+            "generation count must be at least 1".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Re-encodes frontier points into warm-start genomes for a follow-up run
+/// over the same space, skipping points outside its catalogue.
+pub(crate) fn session_genomes<S: SearchSpace>(space: &S, points: &[S::Point]) -> Vec<Vec<f64>> {
+    points
+        .iter()
+        .filter_map(|point| space.encode_point(point))
+        .collect()
+}
+
+/// Archives every feasible individual against the objectives NSGA-II
+/// already computed; points are decoded only once the archive settles.
+fn archive_feasible(archive: &mut ParetoArchive<Vec<f64>>, population: &[Individual]) {
+    for individual in population {
+        if individual.is_feasible() {
+            archive.insert(individual.objectives.clone(), individual.genes.clone());
+        }
+    }
+}
+
+/// The NSGA-II exploration driver: runs `run` over `space` with the
+/// caller's [`ExploreOptions`], invoking `progress(generation)` after every
+/// generation's environmental selection.
+///
+/// The space is wrapped in a memoizing cache keyed by its decode buckets:
+/// the bucketed genome re-samples identical designs constantly, and the
+/// cache answers those re-evaluations for free while its batch path fans
+/// the unique misses out across cores.  Every feasible genome of every
+/// generation is archived, so the frontier is not limited to the final
+/// population.
+///
+/// # Errors
+///
+/// Returns [`DseError::EmptyDesignSpace`] when the optimiser never found a
+/// feasible design, [`DseError::InvalidConfig`] when a warm-start genome
+/// does not match the genome length, or [`DseError::Cancelled`] /
+/// [`DseError::DeadlineExceeded`] when the injected [`CancelToken`]
+/// tripped before the run finished.
+pub(crate) fn explore<S: SearchSpace>(
+    space: &S,
+    run: RunShape,
+    options: &ExploreOptions,
+    mut progress: impl FnMut(usize),
+) -> Result<ParetoSet<S::Point>, DseError> {
+    let n_var = space.num_variables();
+    for genome in &options.warm_start {
+        if genome.len() != n_var {
+            return Err(DseError::InvalidConfig(format!(
+                "warm-start genome has {} genes, design space has {n_var}",
+                genome.len()
+            )));
+        }
+    }
+    // A token that tripped before any work ran: stop before the initial
+    // population is even evaluated.
+    if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
+        return Err(DseError::from_cancel(reason, 0, run.generations));
+    }
+    // Route per-macro metric derivation through the shared reuse layer
+    // when the caller injected one: it sits *below* the genome-level
+    // cache, so even a genome never seen before reuses the macro metrics
+    // earlier runs (of either space) derived.
+    let space = match &options.macro_cache {
+        Some(cache) => space.clone().attach_macro_cache(cache.clone()),
+        None => space.clone(),
+    };
+    let cached = CachedProblem::with_key_fn(&space, space.genome_key())
+        .with_shared_store(options.cache.clone().unwrap_or_default());
+    let mut archive = ParetoArchive::new();
+    // Warm-start seeds are archived up front (feasible ones only), so the
+    // warm frontier dominates-or-equals the one it was seeded from.
+    // Scoring them goes through the cache: when the seeds came from a
+    // request sharing this store, every one is a hit.
+    if !options.warm_start.is_empty() {
+        let evals = cached.evaluate_batch(&options.warm_start);
+        for (genome, eval) in options.warm_start.iter().zip(evals) {
+            if eval.is_feasible() {
+                archive.insert(eval.objectives, genome.clone());
+            }
+        }
+    }
+    let nsga_config = Nsga2Config {
+        population_size: run.population_size,
+        generations: run.generations,
+        initial_population: options.warm_start.clone(),
+        ..Default::default()
+    };
+    let pool_before = rayon::pool_metrics();
+    let result = Nsga2::new(&cached, nsga_config)
+        .with_seed(run.seed)
+        .run_with_observer(|generation, population| {
+            archive_feasible(&mut archive, population);
+            progress(generation);
+            // Cooperative cancellation: the completed generation is
+            // already archived and its cache fills are in the shared
+            // store, so stopping here leaves every shared structure in
+            // the exact state of an uninterrupted run's prefix.
+            match options.cancel.as_ref().map(CancelToken::is_triggered) {
+                Some(true) => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            }
+        });
+    if result.generations < run.generations {
+        let reason = options
+            .cancel
+            .as_ref()
+            .and_then(CancelToken::status)
+            // The loop only breaks early when the token tripped; a token
+            // cannot un-trip (cancel is sticky, deadlines only move
+            // further into the past).
+            .expect("early NSGA-II stop without a tripped cancel token");
+        return Err(DseError::from_cancel(
+            reason,
+            result.generations,
+            run.generations,
+        ));
+    }
+    // The final population may contain points the observer never saw at
+    // an archive-worthy moment; fold it in too.
+    archive_feasible(&mut archive, &result.population);
+
+    let genomes: Vec<Vec<f64>> = archive
+        .into_entries()
+        .into_iter()
+        .map(|entry| entry.payload)
+        .collect();
+    let points = space.decode_points(&genomes);
+    if points.is_empty() {
+        return Err(DseError::EmptyDesignSpace {
+            array_size: run.array_size,
+        });
+    }
+    let delta = rayon::pool_metrics().delta_since(&pool_before);
+    let mut engine = result.engine;
+    engine.cache = cached.stats();
+    engine.macro_cache = space.macro_stats();
+    engine.pool = PoolStats {
+        tasks_executed: delta.tasks_executed(),
+        steals: delta.steals(),
+        tasks_per_worker: delta.tasks_per_slot,
+    };
+    Ok(ParetoSet { points, engine })
 }
 
 /// The design-space explorer: NSGA-II over [`AcimDesignProblem`] with a
@@ -177,18 +348,10 @@ impl DesignSpaceExplorer {
     /// # Errors
     ///
     /// Returns [`DseError::InvalidConfig`] when the configuration is
-    /// inconsistent (no valid heights, zero population, …).
+    /// inconsistent (no valid heights, zero population, …), or
+    /// [`DseError::Model`] when the model parameters are invalid.
     pub fn new(config: DseConfig) -> Result<Self, DseError> {
-        if config.population_size < 4 || !config.population_size.is_multiple_of(2) {
-            return Err(DseError::InvalidConfig(
-                "population size must be an even number >= 4".into(),
-            ));
-        }
-        if config.generations == 0 {
-            return Err(DseError::InvalidConfig(
-                "generation count must be at least 1".into(),
-            ));
-        }
+        check_run_shape(config.population_size, config.generations)?;
         let problem = AcimDesignProblem::new(
             config.array_size,
             config.min_height,
@@ -237,141 +400,25 @@ impl DesignSpaceExplorer {
     pub fn explore_with<F>(
         &self,
         options: &ExploreOptions,
-        mut progress: F,
+        progress: F,
     ) -> Result<ParetoFrontierSet, DseError>
     where
         F: FnMut(usize),
     {
-        let n_var = self.problem.encoding().num_genes();
-        for genome in &options.warm_start {
-            if genome.len() != n_var {
-                return Err(DseError::InvalidConfig(format!(
-                    "warm-start genome has {} genes, design space has {n_var}",
-                    genome.len()
-                )));
-            }
-        }
-        // A token that tripped before any work ran: stop before the
-        // initial population is even evaluated.
-        if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
-            return Err(DseError::from_cancel(reason, 0, self.config.generations));
-        }
-        let nsga_config = Nsga2Config {
+        let run = RunShape {
+            array_size: self.config.array_size,
             population_size: self.config.population_size,
             generations: self.config.generations,
-            initial_population: options.warm_start.clone(),
-            ..Default::default()
+            seed: self.config.seed,
         };
-        // Archive every feasible design seen in any generation, keyed by the
-        // decoded spec, so the frontier is not limited to the final
-        // population.  The problem is wrapped in a memoizing cache keyed by
-        // decode buckets: the bucketed genome re-samples identical designs
-        // constantly, and the cache answers those re-evaluations for free
-        // while its batch path fans the unique misses out across cores.
-        let mut archive: ParetoArchive<DesignPoint> = ParetoArchive::new();
-        // Route per-macro metric derivation through the shared reuse
-        // layer when the caller injected one (a mixed macro + chip
-        // session over one parameter set then shares per-macro work).
-        let problem = match &options.macro_cache {
-            Some(cache) => self.problem.clone().with_macro_cache(cache.clone()),
-            None => self.problem.clone(),
-        };
-        let problem = &problem;
-        // Warm-start seeds are archived up front: whatever the warm run
-        // finds is unioned with them, so its frontier dominates-or-equals
-        // the one it was seeded from.
-        for genome in &options.warm_start {
-            if let Some(point) = problem.decode_point(genome) {
-                archive.insert(point.objective_vector(), point);
-            }
-        }
-        // The key closure only needs the genome encoding, not a clone of
-        // the whole problem.
-        let key_encoding = self.problem.encoding().clone();
-        let cached =
-            CachedProblem::with_key_fn(problem, move |genes| key_encoding.bucket_indices(genes))
-                .with_shared_store(options.store());
-        let pool_before = rayon::pool_metrics();
-        let result = Nsga2::new(&cached, nsga_config)
-            .with_seed(self.config.seed)
-            .run_with_observer(|generation, population| {
-                for individual in population {
-                    if !individual.is_feasible() {
-                        continue;
-                    }
-                    if let Some(point) = problem.decode_point(&individual.genes) {
-                        archive.insert(point.objective_vector(), point);
-                    }
-                }
-                progress(generation);
-                // Cooperative cancellation: the completed generation is
-                // already archived and its cache fills are in the shared
-                // store, so stopping here leaves every shared structure in
-                // the exact state of an uninterrupted run's prefix.
-                match options.cancel.as_ref().map(CancelToken::is_triggered) {
-                    Some(true) => ControlFlow::Break(()),
-                    _ => ControlFlow::Continue(()),
-                }
-            });
-        if result.generations < self.config.generations {
-            let reason = options
-                .cancel
-                .as_ref()
-                .and_then(CancelToken::status)
-                // The loop only breaks early when the token tripped; a
-                // token cannot un-trip (cancel is sticky, deadlines only
-                // move further into the past).
-                .expect("early NSGA-II stop without a tripped cancel token");
-            return Err(DseError::from_cancel(
-                reason,
-                result.generations,
-                self.config.generations,
-            ));
-        }
-
-        // The final population may contain points the observer never saw at
-        // an archive-worthy moment; fold it in too.
-        for individual in &result.population {
-            if individual.is_feasible() {
-                if let Some(point) = problem.decode_point(&individual.genes) {
-                    archive.insert(point.objective_vector(), point);
-                }
-            }
-        }
-
-        let points: Vec<DesignPoint> = archive
-            .into_entries()
-            .into_iter()
-            .map(|e| e.payload)
-            .collect();
-        if points.is_empty() {
-            return Err(DseError::EmptyDesignSpace {
-                array_size: self.config.array_size,
-            });
-        }
-        let mut engine = result.engine;
-        engine.cache = cached.stats();
-        engine.macro_cache = problem.macro_cache_stats();
-        engine.pool = pool_stats_since(&pool_before);
-        Ok(ParetoFrontierSet { points, engine })
+        explore(&self.problem, run, options, progress)
     }
 
     /// Re-encodes frontier points into warm-start genomes for a follow-up
     /// run over the same design space (points outside this problem's
     /// catalogue are skipped).
     pub fn session_genomes(&self, points: &[DesignPoint]) -> Vec<Vec<f64>> {
-        let encoding = self.problem.encoding();
-        points
-            .iter()
-            .filter_map(|point| {
-                encoding.encode(&crate::encoding::Candidate {
-                    height: point.spec.height(),
-                    width: point.spec.width(),
-                    local_array: point.spec.local_array(),
-                    adc_bits: point.spec.adc_bits(),
-                })
-            })
-            .collect()
+        session_genomes(&self.problem, points)
     }
 }
 
@@ -639,6 +686,19 @@ mod tests {
             ..Default::default()
         };
         assert!(explorer.explore_with(&options, |_| {}).is_err());
+    }
+
+    #[test]
+    fn non_finite_k4_is_rejected_before_exploring() {
+        let mut config = quick_config();
+        config.params.snr.k4 = f64::NAN;
+        match DesignSpaceExplorer::new(config) {
+            Err(DseError::Model(acim_model::ModelError::InvalidParameter { name, .. })) => {
+                assert_eq!(name, "k4");
+            }
+            other => panic!("expected an invalid k4, got {other:?}"),
+        }
+        assert!(DesignSpaceExplorer::new(quick_config()).is_ok());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   (H, W, L, B_ADC) tuple,
 //! * [`problem`] — the [`acim_moga::Problem`] implementation that evaluates
 //!   candidates with the analytic model of `acim-model`,
-//! * [`explorer`] — runs NSGA-II and collects every feasible non-dominated
-//!   design it ever evaluates into a [`ParetoFrontierSet`],
+//! * [`explorer`] — the one NSGA-II driver behind both explorers: it
+//!   collects every feasible non-dominated design it ever evaluates into
+//!   a [`ParetoSet`],
 //! * [`enumerate`] — exhaustive enumeration of the (small) discrete space,
 //!   used as ground truth in the ablation benchmarks,
 //! * [`distill`] — the "user distillation" step of Figure 4: filtering the
@@ -69,7 +70,7 @@ pub use distill::UserRequirements;
 pub use encoding::DesignEncoding;
 pub use enumerate::enumerate_design_space;
 pub use error::DseError;
-pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, ParetoFrontierSet};
+pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, ParetoFrontierSet, ParetoSet};
 pub use problem::AcimDesignProblem;
 pub use robustness::{RobustnessConfig, RobustnessSweep};
 pub use solution::DesignPoint;

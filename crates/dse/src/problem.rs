@@ -6,8 +6,9 @@ use acim_model::{DesignMetrics, ModelInvariants, ModelParams, SpecBatch, SpecKey
 use acim_moga::{CacheStats, Evaluation, Problem};
 use rayon::prelude::*;
 
-use crate::encoding::DesignEncoding;
+use crate::encoding::{Candidate, DesignEncoding};
 use crate::error::DseError;
+use crate::explorer::SearchSpace;
 use crate::solution::DesignPoint;
 
 /// The four-objective, constrained ACIM parameter-selection problem of
@@ -190,6 +191,40 @@ impl Problem for AcimDesignProblem {
 
     fn name(&self) -> &str {
         "easyacim design-space exploration"
+    }
+}
+
+impl SearchSpace for AcimDesignProblem {
+    type Point = DesignPoint;
+
+    fn genome_key(&self) -> impl Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static {
+        // Only the encoding, not a clone of the whole problem.
+        let encoding = self.encoding.clone();
+        move |genes| encoding.bucket_indices(genes)
+    }
+
+    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self {
+        self.with_macro_cache(cache)
+    }
+
+    fn macro_stats(&self) -> CacheStats {
+        self.macro_cache_stats()
+    }
+
+    fn encode_point(&self, point: &DesignPoint) -> Option<Vec<f64>> {
+        self.encoding.encode(&Candidate {
+            height: point.spec.height(),
+            width: point.spec.width(),
+            local_array: point.spec.local_array(),
+            adc_bits: point.spec.adc_bits(),
+        })
+    }
+
+    fn decode_points(&self, genomes: &[Vec<f64>]) -> Vec<DesignPoint> {
+        genomes
+            .iter()
+            .filter_map(|genes| self.decode_point(genes))
+            .collect()
     }
 }
 

@@ -1824,7 +1824,6 @@ impl ExplorationService {
                 macro_cache: Some(self.macro_store_for(&config.dse.params)),
                 warm_start,
                 cancel: Some(cancel.clone()),
-                ..Default::default()
             },
             chip: chip_options,
             observer: Some(observer),
@@ -1901,7 +1900,6 @@ impl ExplorationService {
             macro_cache: Some(self.macro_store_for(&config.dse.params)),
             warm_start,
             cancel: Some(cancel.clone()),
-            ..Default::default()
         };
         let total = config.dse.generations;
         let instruments = self.request_instruments("chip", id, &space, &admission);
@@ -2122,6 +2120,17 @@ mod tests {
                 assert_ne!(requested, session);
             }
             other => panic!("expected WarmStartMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_k4_is_rejected_at_submit() {
+        let service = ExplorationService::new();
+        let mut config = FlowConfig::new(4 * 1024);
+        config.dse.params.snr.k4 = f64::NAN;
+        match service.submit(ExplorationRequest::macro_space(config)) {
+            Err(err @ SubmitError::Invalid(_)) => assert!(err.to_string().contains("k4"), "{err}"),
+            other => panic!("expected SubmitError::Invalid, got {other:?}"),
         }
     }
 

@@ -205,9 +205,9 @@ impl ModelParams {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidParameter`] when any physical parameter
-    /// is non-positive.
+    /// is non-positive or non-finite, or the SNR offset `k4` is not finite.
     pub fn validate(&self) -> Result<(), ModelError> {
-        // Fast path: one fused pass over the eight positivity/finiteness
+        // Fast path: one fused pass over the positivity/finiteness
         // checks.  Validation runs on every scalar evaluation, so the
         // common all-valid case must not pay for error attribution; the
         // named-diagnostic loop below only runs once something failed.
@@ -222,6 +222,7 @@ impl ModelParams {
             && ok(self.snr.c_o.value())
             && ok(self.kappa)
             && ok(self.temperature_k)
+            && self.snr.k4.is_finite()
         {
             return Ok(());
         }
@@ -242,6 +243,13 @@ impl ModelParams {
                     reason: format!("must be positive and finite, got {value}"),
                 });
             }
+        }
+        // k4 is an additive dB offset: any finite sign is physical.
+        if !self.snr.k4.is_finite() {
+            return Err(ModelError::InvalidParameter {
+                name: "k4".to_string(),
+                reason: format!("must be finite, got {}", self.snr.k4),
+            });
         }
         Ok(())
     }
@@ -274,6 +282,22 @@ mod tests {
         let mut p = ModelParams::s28_default();
         p.kappa = f64::NAN;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn k4_must_be_finite_but_may_be_negative() {
+        for k4 in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = ModelParams::s28_default();
+            p.snr.k4 = k4;
+            match p.validate() {
+                Err(ModelError::InvalidParameter { name, .. }) => assert_eq!(name, "k4"),
+                other => panic!("k4 = {k4} accepted: {other:?}"),
+            }
+        }
+        let mut p = ModelParams::s28_default();
+        p.snr.k4 = -3.0;
+        assert!(p.validate().is_ok());
+        assert!(ModelParams::s28_default().snr.k4.is_finite());
     }
 
     #[test]

@@ -3,9 +3,20 @@
 //! co-exploration, behavioural validation, and the easyacim flow stage.
 
 use acim_arch::AcimSpec;
-use acim_chip::{evaluate_chip, simulate_network, ChipEvaluator, ChipSpec, MacroGrid, Network};
+use acim_chip::{
+    simulate_network, ChipError, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, Network,
+    WorkloadMix,
+};
 use acim_dse::{ChipDseConfig, ChipExplorer};
 use easyacim::{chip_report, ChipFlow, ChipFlowConfig, FlowConfig, TopFlowController};
+
+/// One network alone on `chip`: the metrics of a mix of one.
+fn network_metrics(chip: &ChipSpec, network: &Network) -> Result<ChipMetrics, ChipError> {
+    let mix = WorkloadMix::single(network.clone());
+    Ok(ChipEvaluator::s28_default()
+        .evaluate(chip, &mix)?
+        .combined())
+}
 
 fn quick_dse(network: Network) -> ChipDseConfig {
     let mut config = ChipDseConfig::for_network(network);
@@ -24,7 +35,7 @@ fn cnn_maps_onto_macro_grid_end_to_end() {
     let network = Network::edge_cnn(2);
 
     // Analytic path.
-    let metrics = evaluate_chip(&chip, &network).unwrap();
+    let metrics = network_metrics(&chip, &network).unwrap();
     assert_eq!(metrics.layers.len(), network.len());
     assert!(metrics.throughput_tops > 0.0);
     assert!(metrics.energy_per_inference_pj > 0.0);
@@ -79,7 +90,7 @@ fn heterogeneous_grid_evaluates_and_simulates() {
     let dense = AcimSpec::from_dimensions(64, 64, 8, 3).unwrap();
     let chip = ChipSpec::new(MacroGrid::from_specs(1, 2, vec![fast, dense]).unwrap(), 32).unwrap();
     let network = Network::transformer_block();
-    let metrics = evaluate_chip(&chip, &network).unwrap();
+    let metrics = network_metrics(&chip, &network).unwrap();
     assert!(metrics.accuracy_db.is_finite());
     let sim = simulate_network(&chip, &network, 5).unwrap();
     assert!(sim.max_relative_error() < 0.3);
@@ -95,7 +106,10 @@ fn all_three_workload_families_run_on_a_chip() {
         Network::transformer_block(),
         Network::snn_pipeline(),
     ] {
-        let metrics = evaluator.evaluate(&chip, &network).unwrap();
+        let metrics = evaluator
+            .evaluate(&chip, &WorkloadMix::single(network.clone()))
+            .unwrap()
+            .combined();
         assert!(metrics.latency_ns > 0.0, "{}", network.name);
         assert!(metrics.mean_utilization > 0.0, "{}", network.name);
     }

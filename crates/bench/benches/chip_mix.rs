@@ -60,9 +60,8 @@ fn chip_mix(c: &mut Criterion) {
         .with_tenant(Network::transformer_block(), 1.0)
         .with_tenant(Network::snn_pipeline(), 4.0);
 
-    // 64 mixed-macro 2x2 chips from a small catalogue (same population
-    // shape as the macro_reuse eval pair): several distinct specs per
-    // chip, so per-tenant re-derivation is a real cost.
+    // 64 mixed-macro 2x2 chips from a small catalogue: several distinct
+    // specs per chip, so per-tenant re-derivation is a real cost.
     let catalogue: Vec<AcimSpec> = [
         (128usize, 32usize, 2usize, 2u32),
         (128, 32, 4, 3),

@@ -21,26 +21,20 @@
 //! the *shared* compute/traffic overlap of all member layers, and every
 //! tenant then rolls its rounds up into its own [`ChipMetrics`].  A single
 //! binary tenant produces exactly one one-member round per layer.
-//! Per-macro derivations are shared across tenants automatically: the
-//! grid's macro metrics are folded once per chip (and once per
-//! [`MacroMetricsCache`] across chips), no matter how many tenants
-//! schedule onto them.
+//! The grid's macro metrics are derived once per chip, no matter how many
+//! tenants schedule onto them.
 //!
 //! One chip costs about a microsecond, so its rounds are costed serially;
 //! [`ChipEvaluator::evaluate_batch`] parallelises across chips instead.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use acim_arch::AcimSpec;
-use acim_model::{ModelInvariants, ModelParams, SpecKey};
-use acim_moga::CacheStats;
+use acim_model::{DesignMetrics, ModelInvariants, ModelParams};
 use rayon::prelude::*;
 
 use crate::error::ChipError;
 use crate::grid::MacroGrid;
 use crate::interconnect::ChipCostParams;
-use crate::metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
 use crate::network::{Network, Tenant, WorkloadMix};
 use crate::partition::{
     partition_streams, LayerPartition, MixPartition, RoundPartition, StreamSpec,
@@ -83,6 +77,13 @@ impl fmt::Display for ChipSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CHIP[{} buf={}KiB]", self.grid, self.buffer_kib)
     }
+}
+
+/// Everything the chip evaluator needs per macro: the closed-form design
+/// metrics and the macro cycle time in ns.
+struct MacroMetrics {
+    design: DesignMetrics,
+    cycle_ns: f64,
 }
 
 /// Estimated cost of one layer on the chip.
@@ -181,9 +182,8 @@ pub struct TenantMetrics {
     /// leakage share), accuracy/utilization cover only its layers.
     pub metrics: ChipMetrics,
     /// How many per-tile macro-metric reads this tenant's costing
-    /// performed — every one served from the mix's once-per-distinct-macro
-    /// derivation, so the count is the tenant's share of the shared-macro
-    /// reuse a report attributes per tenant.
+    /// performed — every one served from the chip's per-position macro
+    /// derivation, shared by all tenants of the mix.
     pub macro_reads: usize,
 }
 
@@ -333,25 +333,10 @@ struct MemberCost {
 /// Evaluates chip specifications against workload mixes with the analytic
 /// model.
 ///
-/// # Macro-metric reuse
-///
-/// Per-macro work (the closed-form [`acim_model::DesignMetrics`] and the
-/// macro cycle time) is folded three ways before it is recomputed:
-///
-/// 1. **within one chip**, duplicate grid positions share one derivation —
-///    a uniform `R × C` grid derives its macro once, not `R · C` times;
-/// 2. **across the tenants of a mix**, the per-chip fold happens once for
-///    the whole mix, so `T` tenants sharing a grid still derive each
-///    distinct macro exactly once;
-/// 3. **across chips and requests**, an optional shared
-///    [`MacroMetricsCache`] (see [`ChipEvaluator::with_macro_cache`])
-///    answers macros any evaluation over the same [`ModelParams`] already
-///    derived, with per-evaluator hit/miss attribution
-///    ([`ChipEvaluator::macro_cache_stats`]).
-///
-/// All folds are semantically lossless: the metrics are pure functions
-/// of `(spec, params)`, so evaluation results are bit-identical with and
-/// without them.
+/// Each grid position's macro metrics come straight from
+/// [`ModelInvariants::evaluate_spec`] and [`ModelInvariants::cycle_time_ns`]:
+/// one closed-form derivation costs about as much as a hash lookup, so
+/// nothing is cached or folded.
 #[derive(Debug, Clone)]
 pub struct ChipEvaluator {
     params: ModelParams,
@@ -359,9 +344,6 @@ pub struct ChipEvaluator {
     // Per-ModelParams quantities of the macro estimation model, hoisted
     // once at construction; macro derivations are pure arithmetic.
     invariants: ModelInvariants,
-    // Clones share the client's counters, so one request's attribution
-    // survives the batch fan-out.
-    macro_client: MacroCacheClient,
 }
 
 impl ChipEvaluator {
@@ -377,7 +359,6 @@ impl ChipEvaluator {
             params,
             cost,
             invariants,
-            macro_client: MacroCacheClient::detached(),
         })
     }
 
@@ -397,89 +378,32 @@ impl ChipEvaluator {
         &self.cost
     }
 
-    /// Installs a shared macro-metric cache and resets this evaluator's
-    /// hit/miss attribution.
-    ///
-    /// The cache must be paired with evaluators over **one**
-    /// [`ModelParams`] value — the entries are pure functions of
-    /// `(spec, params)` and the cache trusts its keys.  The counters stay
-    /// per evaluator (shared only with its own clones), so on a
-    /// service-shared cache every request reports its own reuse.
-    #[must_use]
-    pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.macro_client = MacroCacheClient::attached(cache);
-        self
-    }
-
-    /// The installed macro-metric cache, when reuse is enabled.
-    pub fn macro_cache(&self) -> Option<&MacroMetricsCache> {
-        self.macro_client.cache()
-    }
-
-    /// Hit/miss/eviction attribution of this evaluator (and its clones)
-    /// against the installed macro-metric cache.  One lookup is counted
-    /// per **distinct** macro per evaluated chip; duplicate grid
-    /// positions — and duplicate tenants of a mix — are folded before the
-    /// cache is consulted, so the counters measure cross-chip reuse, not
-    /// grid shape or mix width.  All zeros when no cache is installed.
-    pub fn macro_cache_stats(&self) -> CacheStats {
-        self.macro_client.stats()
-    }
-
-    /// Derives one macro's metrics, consulting the shared cache when one
-    /// is installed.  Racing workers may both derive the same macro (the
-    /// derivation runs outside the cache lock and is a pure function, so
-    /// the duplicate work is harmless), but attribution stays
-    /// deterministic — see [`MacroCacheClient::get_or_derive`].
-    fn macro_metrics(&self, key: SpecKey, spec: &AcimSpec) -> Result<MacroMetrics, ChipError> {
-        self.macro_client.get_or_derive(key, || {
-            Ok(MacroMetrics {
+    /// Derives the per-grid-position macro metrics of one chip.
+    fn grid_macro_metrics(&self, grid: &MacroGrid) -> Vec<MacroMetrics> {
+        grid.specs()
+            .iter()
+            .map(|spec| MacroMetrics {
                 design: self.invariants.evaluate_spec(spec),
                 cycle_ns: self.invariants.cycle_time_ns(spec.adc_bits()),
             })
-        })
-    }
-
-    /// Derives the per-grid-position macro metrics of one chip, folding
-    /// duplicate positions onto one derivation.
-    fn grid_macro_metrics(&self, grid: &MacroGrid) -> Result<Vec<MacroMetrics>, ChipError> {
-        let mut by_key: HashMap<SpecKey, MacroMetrics> = HashMap::new();
-        let mut metrics = Vec::with_capacity(grid.specs().len());
-        for spec in grid.specs() {
-            let key = SpecKey::of(spec);
-            let entry = match by_key.get(&key) {
-                Some(&entry) => entry,
-                None => {
-                    let entry = self.macro_metrics(key, spec)?;
-                    by_key.insert(key, entry);
-                    entry
-                }
-            };
-            metrics.push(entry);
-        }
-        Ok(metrics)
+            .collect()
     }
 
     /// Evaluates one chip on a workload mix (one network is
     /// [`WorkloadMix::single`]).
     ///
-    /// Shared macros are derived once for the whole mix (and reused across
-    /// chips through the optional [`MacroMetricsCache`]); each tenant's
+    /// The grid's macros are derived once for the whole mix; each tenant's
     /// rollup covers only its own layers, with round latencies shared.
     ///
     /// # Errors
     ///
     /// Returns [`ChipError`] when the mix fails
-    /// [`WorkloadMix::validate`] or a macro specification fails the
-    /// estimation model.
+    /// [`WorkloadMix::validate`] or cannot be partitioned onto the grid.
     pub fn evaluate(&self, chip: &ChipSpec, mix: &WorkloadMix) -> Result<MixMetrics, ChipError> {
         mix.validate()?;
         let tenants = mix.tenants();
         let grid = &chip.grid;
-        // One derivation per distinct macro for the whole mix
-        // (cache-assisted when a shared macro-metric cache is installed),
-        // fanned back out to every grid position.
-        let macro_metrics = self.grid_macro_metrics(grid)?;
+        let macro_metrics = self.grid_macro_metrics(grid);
         let cycle_ns: Vec<f64> = macro_metrics.iter().map(|m| m.cycle_ns).collect();
         let streams: Vec<StreamSpec<'_>> = tenants
             .iter()
@@ -864,77 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_cache_reuse_is_bit_identical_and_attributed() {
-        let net = WorkloadMix::single(Network::edge_cnn(3));
-        let chips = vec![chip(2, 2, 64), chip(1, 2, 32), chip(2, 2, 64)];
-        let plain = ChipEvaluator::s28_default();
-        let cache = crate::MacroMetricsCache::new();
-        let reusing = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        for c in &chips {
-            assert_eq!(
-                plain.evaluate(c, &net).unwrap(),
-                reusing.evaluate(c, &net).unwrap(),
-                "macro-metric reuse must not change results"
-            );
-        }
-        // All three chips use the same macro shape: duplicate grid
-        // positions fold within each chip, so the cache sees one lookup
-        // per chip — one miss, then two cross-chip hits.
-        let stats = reusing.macro_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-        assert_eq!(cache.len(), 1);
-        // The plain evaluator reports no attribution.
-        assert_eq!(plain.macro_cache_stats(), acim_moga::CacheStats::default());
-        assert!(reusing.macro_cache().is_some());
-    }
-
-    #[test]
-    fn batch_clones_attribute_to_the_originating_evaluator() {
-        let net = WorkloadMix::single(Network::transformer_block());
-        let cache = crate::MacroMetricsCache::new();
-        let evaluator = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        let chips = vec![chip(1, 1, 32), chip(2, 2, 32), chip(1, 2, 32)];
-        let batch = evaluator.evaluate_batch(&chips, &net);
-        assert!(batch.iter().all(Result::is_ok));
-        // The batch path clones the evaluator into pool workers; the
-        // clones share the original's counters, so the request-level
-        // evaluator sees the whole batch: one distinct macro shape across
-        // all three chips -> 1 miss + 2 hits.
-        let stats = evaluator.macro_cache_stats();
-        assert_eq!(stats.total(), 3);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn heterogeneous_grid_folds_duplicate_positions() {
-        let net = WorkloadMix::single(Network::edge_cnn(2));
-        let mixed = ChipSpec::new(
-            MacroGrid::from_specs(
-                2,
-                2,
-                vec![
-                    spec(128, 32, 4, 4),
-                    spec(64, 64, 4, 3),
-                    spec(128, 32, 4, 4),
-                    spec(64, 64, 4, 3),
-                ],
-            )
-            .unwrap(),
-            64,
-        )
-        .unwrap();
-        let cache = crate::MacroMetricsCache::new();
-        let reusing = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        let with_cache = reusing.evaluate(&mixed, &net).unwrap();
-        let without = ChipEvaluator::s28_default().evaluate(&mixed, &net).unwrap();
-        assert_eq!(with_cache, without);
-        // Four grid positions, two distinct shapes: two lookups, both
-        // misses on a cold cache.
-        assert_eq!(reusing.macro_cache_stats().total(), 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn empty_network_and_zero_buffer_rejected() {
         assert!(ChipSpec::new(MacroGrid::uniform(1, 1, spec(128, 32, 4, 4)).unwrap(), 0).is_err());
         let evaluator = ChipEvaluator::s28_default();
@@ -997,22 +850,6 @@ mod tests {
         for (c, result) in chips.iter().zip(batch) {
             assert_eq!(result.unwrap(), evaluator.evaluate(c, &mix).unwrap());
         }
-    }
-
-    #[test]
-    fn mix_derives_shared_macros_once() {
-        let mix = WorkloadMix::edge_mix();
-        let cache = crate::MacroMetricsCache::new();
-        let reusing = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        reusing.evaluate(&chip(2, 2, 64), &mix).unwrap();
-        // Three tenants on one uniform grid: one lookup, one derivation —
-        // the per-chip fold runs once for the whole mix.
-        let stats = reusing.macro_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
-        assert_eq!(cache.len(), 1);
-        // A second chip over the same macro hits.
-        reusing.evaluate(&chip(1, 2, 32), &mix).unwrap();
-        assert_eq!(reusing.macro_cache_stats().hits, 1);
     }
 
     #[test]

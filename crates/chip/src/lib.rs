@@ -20,9 +20,6 @@
 //! * [`evaluate`] — the analytic chip evaluator: throughput, energy per
 //!   inference, area and an accuracy proxy of a chip under a workload mix,
 //!   with a rayon-parallel (and bit-deterministic) batch over chips,
-//! * [`metrics_cache`] — the macro-metric reuse layer: a shared, bounded,
-//!   poison-tolerant cache of per-macro `DesignMetrics` the evaluator
-//!   consults instead of re-deriving the same macros chip after chip,
 //! * [`simulate`] — the behavioural validation path, driving one
 //!   `acim_arch::AcimMacro` per grid position.
 //!
@@ -54,7 +51,6 @@ pub mod error;
 pub mod evaluate;
 pub mod grid;
 pub mod interconnect;
-pub mod metrics_cache;
 pub mod network;
 pub mod partition;
 pub mod simulate;
@@ -65,7 +61,6 @@ pub use evaluate::{
 };
 pub use grid::MacroGrid;
 pub use interconnect::{AccumulatorParams, BufferParams, ChipCostParams, InterconnectParams};
-pub use metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
 pub use network::{LayerKind, Network, NetworkLayer, Tenant, TenantQuant, WorkloadMix};
 pub use partition::{
     partition_mix, partition_network, partition_streams, LayerPartition, MixPartition, Partition,

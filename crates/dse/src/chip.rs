@@ -25,11 +25,11 @@
 use std::fmt;
 
 use acim_chip::{
-    ChipCostParams, ChipError, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache,
-    MixMetrics, MixObjective, Network, TenantMetrics, WorkloadMix,
+    ChipCostParams, ChipError, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MixMetrics,
+    MixObjective, Network, TenantMetrics, WorkloadMix,
 };
 use acim_model::ModelParams;
-use acim_moga::{CacheStats, Evaluation, Problem};
+use acim_moga::{Evaluation, Problem};
 use rayon::prelude::*;
 
 use crate::encoding::{gene_from_index, index_from_gene, Candidate, DesignEncoding};
@@ -305,25 +305,6 @@ impl ChipDesignProblem {
             objective: config.objective,
             robustness,
         })
-    }
-
-    /// Installs a shared macro-metric cache on the underlying evaluator
-    /// (see [`ChipEvaluator::with_macro_cache`]): per-macro
-    /// `DesignMetrics` are then reused across chips, requests and mixed
-    /// macro + chip sessions over the same model parameters, with
-    /// attribution readable via
-    /// [`ChipDesignProblem::macro_cache_stats`].
-    #[must_use]
-    pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.evaluator = self.evaluator.clone().with_macro_cache(cache);
-        self
-    }
-
-    /// Hit/miss/eviction attribution of this problem (and its clones)
-    /// against the installed macro-metric cache; all zeros when no cache
-    /// is installed.
-    pub fn macro_cache_stats(&self) -> CacheStats {
-        self.evaluator.macro_cache_stats()
     }
 
     /// Returns `true` when the genome carries per-tile macro genes.
@@ -607,14 +588,6 @@ impl SearchSpace for ChipDesignProblem {
     fn genome_key(&self) -> impl Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static {
         let keyer = self.keyer();
         move |genes| keyer.key(genes)
-    }
-
-    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self {
-        self.with_macro_cache(cache)
-    }
-
-    fn macro_stats(&self) -> CacheStats {
-        self.macro_cache_stats()
     }
 
     fn encode_point(&self, point: &ChipDesignPoint) -> Option<Vec<f64>> {
@@ -1050,42 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_metric_reuse_is_bit_identical_and_warms_across_requests() {
-        for config in [quick_config(), hetero_config()] {
-            let explorer = ChipExplorer::new(config).unwrap();
-            let plain = explorer.explore().unwrap();
-
-            let macro_cache = acim_chip::MacroMetricsCache::new();
-            let options = ExploreOptions {
-                macro_cache: Some(macro_cache.clone()),
-                ..Default::default()
-            };
-            let reusing = explorer.explore_with(&options, |_| {}).unwrap();
-            // Reuse-on and reuse-off frontiers are bit-identical.
-            assert_eq!(plain.len(), reusing.len());
-            for (a, b) in plain.iter().zip(reusing.iter()) {
-                assert_eq!(a.objective_vector(), b.objective_vector());
-                assert_eq!(a.chip, b.chip);
-            }
-            // The reuse layer saw work and populated the shared cache.
-            let stats = reusing.engine.macro_cache;
-            assert!(stats.misses > 0, "cold macro cache must record misses");
-            assert!(
-                stats.hits > 0,
-                "recurring specs across genomes must hit: {stats}"
-            );
-            assert_eq!(macro_cache.len(), stats.misses);
-            // Off-path runs report zero macro-cache activity.
-            assert_eq!(plain.engine.macro_cache, acim_moga::CacheStats::default());
-
-            // A second request over the warmed cache derives nothing new.
-            let replay = explorer.explore_with(&options, |_| {}).unwrap();
-            assert_eq!(replay.engine.macro_cache.misses, 0);
-            assert_eq!(replay.len(), plain.len());
-        }
-    }
-
-    #[test]
     fn bounded_caches_with_warm_start_still_dominate_their_seeds() {
         let explorer = ChipExplorer::new(quick_config()).unwrap();
         let cold = explorer.explore().unwrap();
@@ -1094,7 +1031,6 @@ mod tests {
         let store = acim_moga::CacheStore::bounded(8);
         let options = ExploreOptions {
             cache: Some(store.clone()),
-            macro_cache: Some(acim_chip::MacroMetricsCache::bounded(2)),
             warm_start: explorer.session_genomes(cold.points()),
             ..Default::default()
         };

@@ -16,10 +16,9 @@
 
 use std::ops::ControlFlow;
 
-use acim_chip::MacroMetricsCache;
 use acim_model::ModelParams;
 use acim_moga::{
-    CacheStats, CacheStore, CachedProblem, CancelToken, EvalStats, Individual, Nsga2, Nsga2Config,
+    CacheStore, CachedProblem, CancelToken, EvalStats, Individual, Nsga2, Nsga2Config,
     ParetoArchive, PoolStats, Problem,
 };
 
@@ -37,12 +36,6 @@ pub struct ExploreOptions {
     /// over the **same design space** produced — the store trusts its
     /// keys, so handing it to a run over a different space poisons it.
     pub cache: Option<CacheStore>,
-    /// Shared macro-metric cache (see `acim_chip::MacroMetricsCache`):
-    /// per-macro `DesignMetrics` reused **below** the genome-level cache,
-    /// across chips, requests, and mixed macro + chip sessions over the
-    /// same model parameters.  `None` disables the reuse layer.  The
-    /// cache must be paired with one `ModelParams` value.
-    pub macro_cache: Option<MacroMetricsCache>,
     /// Warm-start genomes, typically a previous run's Pareto archive over
     /// the same design space: they seed the initial NSGA-II population
     /// (see [`Nsga2Config::initial_population`]) and are pre-inserted
@@ -143,19 +136,13 @@ impl<P> ParetoSet<P> {
 }
 
 /// A design space the shared NSGA-II driver can explore.
-pub(crate) trait SearchSpace: Problem + Clone {
+pub(crate) trait SearchSpace: Problem {
     /// The decoded design a frontier holds.
     type Point;
 
     /// A self-contained genome → cache-key function: every genome that
     /// decodes to the same design shares one key.
     fn genome_key(&self) -> impl Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static;
-
-    /// This space with per-macro metrics routed through `cache`.
-    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self;
-
-    /// Hit/miss attribution against the attached macro-metric cache.
-    fn macro_stats(&self) -> CacheStats;
 
     /// Re-encodes a point into a genome; `None` when it lies outside the
     /// space's catalogue.
@@ -248,15 +235,7 @@ pub(crate) fn explore<S: SearchSpace>(
     if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
         return Err(DseError::from_cancel(reason, 0, run.generations));
     }
-    // Route per-macro metric derivation through the shared reuse layer
-    // when the caller injected one: it sits *below* the genome-level
-    // cache, so even a genome never seen before reuses the macro metrics
-    // earlier runs (of either space) derived.
-    let space = match &options.macro_cache {
-        Some(cache) => space.clone().attach_macro_cache(cache.clone()),
-        None => space.clone(),
-    };
-    let cached = CachedProblem::with_key_fn(&space, space.genome_key())
+    let cached = CachedProblem::with_key_fn(space, space.genome_key())
         .with_shared_store(options.cache.clone().unwrap_or_default());
     let mut archive = ParetoArchive::new();
     // Warm-start seeds are archived up front (feasible ones only), so the
@@ -325,7 +304,6 @@ pub(crate) fn explore<S: SearchSpace>(
     let delta = rayon::pool_metrics().delta_since(&pool_before);
     let mut engine = result.engine;
     engine.cache = cached.stats();
-    engine.macro_cache = space.macro_stats();
     engine.pool = PoolStats {
         tasks_executed: delta.tasks_executed(),
         steals: delta.steals(),
@@ -426,6 +404,7 @@ impl DesignSpaceExplorer {
 mod tests {
     use super::*;
     use acim_moga::dominates;
+    use acim_tech::{Femtojoule, Picosecond};
 
     fn quick_config() -> DseConfig {
         DseConfig {
@@ -699,6 +678,39 @@ mod tests {
             other => panic!("expected an invalid k4, got {other:?}"),
         }
         assert!(DesignSpaceExplorer::new(quick_config()).is_ok());
+    }
+
+    #[test]
+    fn nan_timing_and_energy_parameters_are_rejected_before_exploring() {
+        type Setter = fn(&mut ModelParams);
+        let cases: [(&str, Setter); 8] = [
+            ("t_compute", |p| {
+                p.timing.t_compute = Picosecond::new(f64::NAN)
+            }),
+            ("tau", |p| p.timing.tau = Picosecond::new(f64::NAN)),
+            ("t_conv_per_bit", |p| {
+                p.timing.t_conv_per_bit = Picosecond::new(f64::NAN)
+            }),
+            ("vdd", |p| p.energy.vdd = f64::NAN),
+            ("e_compute", |p| {
+                p.energy.e_compute = Femtojoule::new(f64::NAN)
+            }),
+            ("e_control", |p| {
+                p.energy.e_control = Femtojoule::new(f64::NAN)
+            }),
+            ("k1", |p| p.energy.k1 = Femtojoule::new(f64::NAN)),
+            ("k2", |p| p.energy.k2 = Femtojoule::new(f64::NAN)),
+        ];
+        for (field, set) in cases {
+            let mut config = quick_config();
+            set(&mut config.params);
+            match DesignSpaceExplorer::new(config) {
+                Err(DseError::Model(acim_model::ModelError::InvalidParameter { name, .. })) => {
+                    assert_eq!(name, field);
+                }
+                other => panic!("expected an invalid {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The ACIM design problem as an [`acim_moga::Problem`].
 
 use acim_arch::AcimSpec;
-use acim_chip::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
-use acim_model::{DesignMetrics, ModelInvariants, ModelParams, SpecBatch, SpecKey};
-use acim_moga::{CacheStats, Evaluation, Problem};
+use acim_model::{ModelInvariants, ModelParams, SpecBatch};
+use acim_moga::{Evaluation, Problem};
 use rayon::prelude::*;
 
 use crate::encoding::{Candidate, DesignEncoding};
@@ -13,13 +12,6 @@ use crate::solution::DesignPoint;
 
 /// The four-objective, constrained ACIM parameter-selection problem of
 /// Equation 12, evaluated with the analytic estimation model.
-///
-/// With [`AcimDesignProblem::with_macro_cache`] the per-spec metric
-/// derivation is routed through the shared macro-metric reuse layer
-/// (`acim_chip::MacroMetricsCache`), so macro explorations, chip
-/// explorations and decode passes over the same [`ModelParams`] share one
-/// store of per-macro `DesignMetrics` — with the same bit-identical
-/// results, since the metrics are pure functions of `(spec, params)`.
 #[derive(Debug, Clone)]
 pub struct AcimDesignProblem {
     encoding: DesignEncoding,
@@ -27,9 +19,6 @@ pub struct AcimDesignProblem {
     // Every per-ModelParams quantity of Equations 7-11, hoisted once at
     // construction so the per-genome path is pure arithmetic.
     invariants: ModelInvariants,
-    // Clones share the client's counters, so per-request attribution
-    // survives the batch fan-out.
-    macro_client: MacroCacheClient,
 }
 
 impl AcimDesignProblem {
@@ -51,44 +40,7 @@ impl AcimDesignProblem {
             encoding,
             params,
             invariants,
-            macro_client: MacroCacheClient::detached(),
         })
-    }
-
-    /// Installs a shared macro-metric cache (paired with this problem's
-    /// [`ModelParams`]) and resets the hit/miss attribution.
-    #[must_use]
-    pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.macro_client = MacroCacheClient::attached(cache);
-        self
-    }
-
-    /// Hit/miss/eviction attribution of this problem (and its clones)
-    /// against the installed macro-metric cache; all zeros when no cache
-    /// is installed.
-    pub fn macro_cache_stats(&self) -> CacheStats {
-        self.macro_client.stats()
-    }
-
-    /// Derives one spec's metrics, consulting the shared macro-metric
-    /// cache when one is installed.  Both routes go through the hoisted
-    /// [`ModelInvariants`] kernel, which is bit-identical to the scalar
-    /// facade ([`acim_model::evaluate`]).
-    fn spec_metrics(&self, spec: &AcimSpec) -> Result<DesignMetrics, acim_model::ModelError> {
-        if self.macro_client.cache().is_none() {
-            return Ok(self.invariants.evaluate_spec(spec));
-        }
-        self.macro_client
-            .get_or_derive(SpecKey::of(spec), || {
-                Ok(MacroMetrics {
-                    design: self.invariants.evaluate_spec(spec),
-                    // The chip evaluator reads the cycle time from the
-                    // same entry, so populate it here too: a macro
-                    // session warms the chip sessions that follow it.
-                    cycle_ns: self.invariants.cycle_time_ns(spec.adc_bits()),
-                })
-            })
-            .map(|metrics| metrics.design)
     }
 
     /// The genome encoding in use.
@@ -113,7 +65,7 @@ impl AcimDesignProblem {
     pub fn decode_point(&self, genes: &[f64]) -> Option<DesignPoint> {
         let candidate = self.encoding.decode(genes);
         let spec = candidate.into_spec(self.encoding.array_size()).ok()?;
-        let metrics = self.spec_metrics(&spec).ok()?;
+        let metrics = self.invariants.evaluate_spec(&spec);
         Some(DesignPoint::new(spec, metrics))
     }
 }
@@ -130,12 +82,9 @@ impl Problem for AcimDesignProblem {
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         let candidate = self.encoding.decode(genes);
         match candidate.into_spec(self.encoding.array_size()) {
-            Ok(spec) => match self.spec_metrics(&spec) {
-                Ok(metrics) => Evaluation::unconstrained(metrics.objective_array()),
-                // Model failures are treated as heavily infeasible rather
-                // than aborting the whole optimisation run.
-                Err(_) => Evaluation::new([f64::MAX; 4], 10.0),
-            },
+            Ok(spec) => {
+                Evaluation::unconstrained(self.invariants.evaluate_spec(&spec).objective_array())
+            }
             Err(violation) => Evaluation::new([f64::MAX; 4], violation),
         }
     }
@@ -145,22 +94,13 @@ impl Problem for AcimDesignProblem {
     /// place (scoped executor), so the batch path allocates nothing per
     /// genome.
     ///
-    /// Without a macro-metric cache the genomes are decoded in parallel
-    /// (`with_max_len(1)`, so one slow decode cannot stall a chunk) and
-    /// every feasible spec then flows through the struct-of-arrays batch
-    /// kernel ([`ModelInvariants::evaluate_batch`]) in one pass.  With a
-    /// cache installed, each genome goes through [`Self::evaluate`] so
-    /// hit/miss attribution keeps working.  Both routes preserve input
-    /// order and are bit-identical to the serial map — seeded explorations
-    /// stay deterministic.
+    /// The genomes are decoded in parallel (`with_max_len(1)`, so one slow
+    /// decode cannot stall a chunk) and every feasible spec then flows
+    /// through the struct-of-arrays batch kernel
+    /// ([`ModelInvariants::evaluate_batch`]) in one pass.  Input order is
+    /// preserved and the result is bit-identical to the serial map —
+    /// seeded explorations stay deterministic.
     fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        if self.macro_client.cache().is_some() {
-            return genomes
-                .par_iter()
-                .with_max_len(1)
-                .map(|genes| self.evaluate(genes))
-                .collect();
-        }
         let decoded: Vec<Result<AcimSpec, f64>> = genomes
             .par_iter()
             .with_max_len(1)
@@ -201,14 +141,6 @@ impl SearchSpace for AcimDesignProblem {
         // Only the encoding, not a clone of the whole problem.
         let encoding = self.encoding.clone();
         move |genes| encoding.bucket_indices(genes)
-    }
-
-    fn attach_macro_cache(self, cache: MacroMetricsCache) -> Self {
-        self.with_macro_cache(cache)
-    }
-
-    fn macro_stats(&self) -> CacheStats {
-        self.macro_cache_stats()
     }
 
     fn encode_point(&self, point: &DesignPoint) -> Option<Vec<f64>> {

@@ -100,8 +100,8 @@ pub mod prelude {
     pub use acim_cell::{CellKind, CellLibrary};
     pub use acim_chip::{
         simulate_mix, simulate_network, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid,
-        MacroMetricsCache, MixMetrics, MixObjective, MixSimReport, Network, Tenant, TenantMetrics,
-        TenantQuant, WorkloadMix,
+        MixMetrics, MixObjective, MixSimReport, Network, Tenant, TenantMetrics, TenantQuant,
+        WorkloadMix,
     };
     pub use acim_dse::{
         ChipDesignPoint, ChipDseConfig, ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig,

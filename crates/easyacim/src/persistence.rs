@@ -16,12 +16,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use acim_chip::{MacroMetrics, MacroMetricsCache};
-use acim_model::{DesignMetrics, SpecKey};
 use acim_moga::{CacheStore, Evaluation};
-use acim_persist::{
-    ArchiveRecord, EvalCacheRecord, EvalEntry, MacroCacheRecord, MacroEntry, PersistError, Snapshot,
-};
+use acim_persist::{ArchiveRecord, EvalCacheRecord, EvalEntry, PersistError, Snapshot};
 
 use crate::service::SessionArchive;
 
@@ -29,8 +25,6 @@ use crate::service::SessionArchive;
 const MACRO_SPACE_PREFIX: &str = "macro/";
 /// Signature namespace of chip design spaces.
 const CHIP_SPACE_PREFIX: &str = "chip/";
-/// Signature namespace of model-parameter sets.
-const PARAMS_PREFIX: &str = "params/";
 
 /// What [`ExplorationService::snapshot`] wrote: the counts per registry,
 /// the encoded size, the wall-clock cost.
@@ -46,10 +40,6 @@ pub struct SnapshotReport {
     pub eval_caches: usize,
     /// Cached evaluations across every store.
     pub evaluations: usize,
-    /// Macro-cache sections written (one per parameter set).
-    pub macro_caches: usize,
-    /// Cached macro derivations across every macro cache.
-    pub macro_metrics: usize,
     /// Encoded file size in bytes.
     pub bytes: u64,
     /// Wall-clock time of the export + atomic write.
@@ -60,14 +50,12 @@ impl fmt::Display for SnapshotReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} archives ({} genomes), {} evaluations over {} spaces, \
-             {} macro metrics over {} parameter sets — {} bytes in {:.1} ms",
+            "{} archives ({} genomes), {} evaluations over {} spaces — \
+             {} bytes in {:.1} ms",
             self.archives,
             self.genomes,
             self.evaluations,
             self.eval_caches,
-            self.macro_metrics,
-            self.macro_caches,
             self.bytes,
             self.elapsed.as_secs_f64() * 1e3,
         )
@@ -88,10 +76,6 @@ pub struct RestoreReport {
     pub evaluations: usize,
     /// Evaluation entries skipped (key already live).
     pub skipped_evaluations: usize,
-    /// Macro-metric entries merged.
-    pub macro_metrics: usize,
-    /// Macro-metric entries skipped (key already live).
-    pub skipped_macro_metrics: usize,
     /// Snapshot file size in bytes.
     pub bytes: u64,
     /// Wall-clock time of the read + verify + merge.
@@ -102,10 +86,10 @@ impl fmt::Display for RestoreReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} archives, {} evaluations, {} macro metrics restored",
-            self.archives, self.evaluations, self.macro_metrics
+            "{} archives, {} evaluations restored",
+            self.archives, self.evaluations
         )?;
-        let skipped = self.skipped_archives + self.skipped_evaluations + self.skipped_macro_metrics;
+        let skipped = self.skipped_archives + self.skipped_evaluations;
         if skipped > 0 {
             write!(f, " ({skipped} already live)")?;
         }
@@ -160,51 +144,12 @@ pub(crate) fn eval_entry(entry: EvalEntry) -> (Vec<i64>, Evaluation) {
     )
 }
 
-/// One macro cache's contents, sorted by key words for deterministic
-/// bytes.
-pub(crate) fn macro_cache_record(params: &str, cache: &MacroMetricsCache) -> MacroCacheRecord {
-    let mut entries = cache.export_entries();
-    entries.sort_by_key(|(key, _)| *key);
-    MacroCacheRecord {
-        params: params.to_string(),
-        entries: entries
-            .into_iter()
-            .map(|(key, metrics)| MacroEntry {
-                key: key.to_words(),
-                snr_db: metrics.design.snr_db,
-                throughput_tops: metrics.design.throughput_tops,
-                energy_per_mac_fj: metrics.design.energy_per_mac_fj,
-                tops_per_watt: metrics.design.tops_per_watt,
-                area_f2_per_bit: metrics.design.area_f2_per_bit,
-                cycle_ns: metrics.cycle_ns,
-            })
-            .collect(),
-    }
-}
-
-/// A wire macro entry back into the cache's `(key, value)` shape.
-pub(crate) fn macro_entry(entry: MacroEntry) -> (SpecKey, MacroMetrics) {
-    (
-        SpecKey::from_words(entry.key),
-        MacroMetrics {
-            design: DesignMetrics {
-                snr_db: entry.snr_db,
-                throughput_tops: entry.throughput_tops,
-                energy_per_mac_fj: entry.energy_per_mac_fj,
-                tops_per_watt: entry.tops_per_watt,
-                area_f2_per_bit: entry.area_f2_per_bit,
-            },
-            cycle_ns: entry.cycle_ns,
-        },
-    )
-}
-
 /// Rejects any snapshot whose signatures cannot belong to the registries
 /// they target — the restore-side guard that runs **before** any merge,
 /// so a wrong-namespace snapshot leaves the service untouched.
 ///
 /// Note what this check is *not*: a snapshot recorded over a different
-/// (but well-formed) design space or parameter set is perfectly valid —
+/// (but well-formed) design space is perfectly valid —
 /// it restores fine and its entries are simply never looked up, which is
 /// a clean cold start by construction.  The typed rejection is for
 /// signatures from the wrong namespace entirely, which would plant
@@ -225,14 +170,6 @@ pub(crate) fn validate_signatures(snapshot: &Snapshot) -> Result<(), PersistErro
             return Err(PersistError::BadSignature {
                 expected: "design-space (`macro/…` or `chip/…`)",
                 found: cache.space.clone(),
-            });
-        }
-    }
-    for cache in &snapshot.macro_caches {
-        if !cache.params.starts_with(PARAMS_PREFIX) {
-            return Err(PersistError::BadSignature {
-                expected: "model-parameter (`params/…`)",
-                found: cache.params.clone(),
             });
         }
     }
@@ -280,10 +217,6 @@ mod tests {
             space: "macro/64x[1..6]/#a".into(),
             entries: vec![],
         });
-        snapshot.macro_caches.push(MacroCacheRecord {
-            params: "params/#b".into(),
-            entries: vec![],
-        });
         validate_signatures(&snapshot).unwrap();
 
         snapshot.archives[0].space = "bogus/space".into();
@@ -299,8 +232,6 @@ mod tests {
             genomes: 31,
             eval_caches: 2,
             evaluations: 457,
-            macro_caches: 1,
-            macro_metrics: 96,
             bytes: 54321,
             elapsed: Duration::from_micros(850),
         };
@@ -312,7 +243,6 @@ mod tests {
         let restore = RestoreReport {
             archives: 2,
             evaluations: 457,
-            macro_metrics: 96,
             skipped_evaluations: 3,
             ..RestoreReport::default()
         };

@@ -130,31 +130,6 @@ pub fn tenant_table(tenants: &[TenantMetrics]) -> String {
     out
 }
 
-/// One report line for the macro-metric reuse layer, empty when the run
-/// had no macro-metric cache (so cold single-run reports are unchanged).
-/// For a multi-tenant run, `tenants` (the best chip's per-tenant
-/// breakdown) appends each tenant's share of the reuse: its per-tile
-/// macro-metric reads, all served from the chip's once-per-distinct-macro
-/// derivation.  Counts only — the line stays `NaN`/`inf`-free even for
-/// full-cache-hit replays whose timing stats are all zero.
-fn macro_cache_line(engine: &acim_moga::EvalStats, tenants: Option<&[TenantMetrics]>) -> String {
-    if engine.macro_cache.total() == 0 {
-        return String::new();
-    }
-    let mut line = format!("macro-metric reuse: {}", engine.macro_cache);
-    if let Some(tenants) = tenants {
-        if tenants.len() > 1 {
-            let shares: Vec<String> = tenants
-                .iter()
-                .map(|t| format!("{} {} reads", t.name, t.macro_reads))
-                .collect();
-            line.push_str(&format!(" (best chip, per tenant: {})", shares.join(", ")));
-        }
-    }
-    line.push('\n');
-    line
-}
-
 /// The always-rendered `telemetry:` report line: generation-latency
 /// quantiles (p50/p90/p99 over the run's per-generation wall-clock),
 /// cache hit rate and pool steal rate.  Every value is guaranteed finite
@@ -231,7 +206,7 @@ pub fn telemetry_section(snapshot: &TelemetrySnapshot) -> String {
 pub fn chip_report(result: &ChipFlowResult) -> String {
     let mut out = format!(
         "chip composition: {} frontier chips ({} evaluations in {:.2} s)\n\
-         evaluation engine: {:.0} evals/s, cache {}, {:.1} ms mean per generation, {}\n{}{}{}",
+         evaluation engine: {:.0} evals/s, cache {}, {:.1} ms mean per generation, {}\n{}{}",
         result.front.len(),
         result.engine.evaluations,
         result.exploration_time.as_secs_f64(),
@@ -239,10 +214,6 @@ pub fn chip_report(result: &ChipFlowResult) -> String {
         result.engine.cache,
         result.engine.mean_generation_seconds() * 1e3,
         result.engine.pool,
-        macro_cache_line(
-            &result.engine,
-            result.best_throughput().map(|p| p.tenants.as_slice()),
-        ),
         telemetry_line(&result.engine),
         chip_frontier_table(&result.front),
     );
@@ -301,7 +272,7 @@ pub fn flow_summary(result: &FlowResult) -> String {
     let mut out = format!(
         "EasyACIM flow: {} frontier points, {} after distillation, {} layouts generated\n\
          exploration: {} evaluations in {:.2} s ({:.0} evals/s, cache {}, {}); \
-         total runtime {:.2} s\n{}{}",
+         total runtime {:.2} s\n{}",
         result.frontier.len(),
         result.distilled.len(),
         result.designs.len(),
@@ -311,7 +282,6 @@ pub fn flow_summary(result: &FlowResult) -> String {
         result.engine.cache,
         result.engine.pool,
         result.total_time.as_secs_f64(),
-        macro_cache_line(&result.engine, None),
         telemetry_line(&result.engine),
     );
     for design in &result.designs {
@@ -388,29 +358,6 @@ mod tests {
         assert_eq!(table.lines().count(), 2 + 2);
         assert!(table.contains("cnn"));
         assert!(table.contains("snn"));
-
-        // The reuse line breaks the best chip's reads down per tenant and
-        // stays NaN/inf-free even when every timing stat is zero (a
-        // full-cache-hit replay).
-        let engine = acim_moga::EvalStats {
-            macro_cache: acim_moga::CacheStats {
-                hits: 7,
-                misses: 0,
-                evictions: 0,
-            },
-            ..Default::default()
-        };
-        let line = macro_cache_line(
-            &engine,
-            Some(&[tenant("cnn", 2.0, 8), tenant("snn", 4.0, 3)]),
-        );
-        assert!(line.starts_with("macro-metric reuse:"));
-        assert!(line.contains("cnn 8 reads"));
-        assert!(line.contains("snn 3 reads"));
-        assert!(!line.contains("NaN") && !line.contains("inf"));
-        // Single-tenant runs keep the pre-mix line verbatim.
-        let single = macro_cache_line(&engine, Some(&[tenant("solo", 1.0, 4)]));
-        assert!(!single.contains("reads"));
     }
 
     #[test]

@@ -73,11 +73,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use acim_chip::{MacroMetricsCache, WorkloadMix};
+use acim_chip::WorkloadMix;
 use acim_dse::{
     CacheStore, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig, ExploreOptions,
 };
-use acim_model::ModelParams;
 use acim_moga::{CancelReason, CancelToken, EvalStats};
 use acim_persist::{PersistError, Snapshot};
 use acim_telemetry::{
@@ -573,7 +572,6 @@ struct ServiceInstruments {
     explore_generation_seconds: Histogram,
     chip_generation_seconds: Histogram,
     cached_evaluations: Gauge,
-    cached_macro_metrics: Gauge,
     cache_evictions: Gauge,
     pool_tasks: Counter,
     pool_steals: Counter,
@@ -581,7 +579,6 @@ struct ServiceInstruments {
     restore_seconds: Histogram,
     restored_archives: Counter,
     restored_evaluations: Counter,
-    restored_macro_metrics: Counter,
     stages: Arc<crate::stage::StageHistograms>,
 }
 
@@ -637,11 +634,6 @@ impl ServiceInstruments {
                 "Distinct designs cached across every design space.",
                 &[],
             ),
-            cached_macro_metrics: registry.gauge(
-                "service_cached_macro_metrics",
-                "Distinct macro shapes cached across every parameter set.",
-                &[],
-            ),
             cache_evictions: registry.gauge(
                 "service_cache_evictions",
                 "Entries evicted across every cache the service owns \
@@ -678,11 +670,6 @@ impl ServiceInstruments {
             restored_evaluations: registry.counter(
                 "service_restored_evaluations",
                 "Evaluation-cache entries merged by snapshot restores.",
-                &[],
-            ),
-            restored_macro_metrics: registry.counter(
-                "service_restored_macro_metrics",
-                "Macro-metric entries merged by snapshot restores.",
                 &[],
             ),
             stages: Arc::new(crate::stage::StageHistograms::resolve(telemetry)),
@@ -947,15 +934,6 @@ fn macro_space_signature(config: &DseConfig) -> String {
     )
 }
 
-/// Signature of one model-parameter set — the key of the **macro-metric**
-/// cache registry.  Macro metrics are pure functions of `(spec, params)`,
-/// so every design space sharing one `ModelParams` (macro spaces of any
-/// height range, chip spaces of any grid catalogue) shares one
-/// macro-metric cache under this signature.
-fn params_signature(params: &ModelParams) -> String {
-    format!("params/#{:016x}", fnv1a(&format!("{params:?}")))
-}
-
 /// Records a finished job's session archive(s) in the service registry,
 /// last-writer-wins per space — the registry always holds each space's
 /// most recent frontier, which is what a snapshot should capture.
@@ -1016,20 +994,16 @@ fn check_session(
 /// Capacity policy of an [`ExplorationService`]'s shared caches.
 ///
 /// The default is unbounded — the right call for short-lived processes
-/// and benchmarks.  Long-lived services should bound both registries:
-/// the bounds cap **memory, not correctness** (evicted entries are
-/// recomputed on demand; results stay bit-identical), and eviction
-/// activity is visible per request via the `evictions` counters in
-/// [`EvalStats`] and per store via [`CacheStore::evictions`] /
-/// [`MacroMetricsCache::evictions`].
+/// and benchmarks.  Long-lived services should bound the caches: the
+/// bound caps **memory, not correctness** (evicted entries are recomputed
+/// on demand; results stay bit-identical), and eviction activity is
+/// visible per request via the `evictions` counters in [`EvalStats`] and
+/// per store via [`CacheStore::evictions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Capacity bound of each per-design-space evaluation cache
     /// (genome-level entries).  `None` = unbounded.
     pub cache_capacity: Option<usize>,
-    /// Capacity bound of each per-parameter-set macro-metric cache
-    /// (distinct macro shapes).  `None` = unbounded.
-    pub macro_metric_capacity: Option<usize>,
     /// Worker threads of the admission scheduler (the hard bound on
     /// concurrently executing jobs).  `None` = the width of the shared
     /// evaluation pool (`rayon::current_num_threads()`) — one request per
@@ -1052,7 +1026,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             cache_capacity: None,
-            macro_metric_capacity: None,
             workers: None,
             queue_capacity: None,
             telemetry: true,
@@ -1062,12 +1035,10 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// A configuration bounding every evaluation cache at
-    /// `cache_capacity` entries and every macro-metric cache at
-    /// `macro_metric_capacity` distinct macros.
-    pub fn bounded(cache_capacity: usize, macro_metric_capacity: usize) -> Self {
+    /// `cache_capacity` entries.
+    pub fn bounded(cache_capacity: usize) -> Self {
         Self {
             cache_capacity: Some(cache_capacity),
-            macro_metric_capacity: Some(macro_metric_capacity),
             ..Self::default()
         }
     }
@@ -1095,13 +1066,12 @@ impl ServiceConfig {
 }
 
 /// The multi-tenant exploration front-end: shared per-space evaluation
-/// caches, a shared per-parameter-set **macro-metric** cache underneath
-/// them, a bounded deadline-aware admission scheduler with a fixed worker
-/// set, warm-start sessions.
+/// caches, a bounded deadline-aware admission scheduler with a fixed
+/// worker set, warm-start sessions.
 ///
 /// The service is cheap to construct; share one instance per process (or
-/// per tenant class) to maximise cache reuse.  Both cache registries
-/// recover poisoned locks (see [`CacheStore`]), and the scheduler's
+/// per tenant class) to maximise cache reuse.  The cache registry and its
+/// stores recover poisoned locks (see [`CacheStore`]), and the scheduler's
 /// workers latch job panics into the joining [`JobHandle`]: a panicking
 /// request never takes the service — or any other tenant — down with it.
 ///
@@ -1111,7 +1081,6 @@ impl ServiceConfig {
 pub struct ExplorationService {
     config: ServiceConfig,
     caches: Arc<Mutex<HashMap<String, CacheStore>>>,
-    macro_caches: Arc<Mutex<HashMap<String, MacroMetricsCache>>>,
     session_archives: Arc<Mutex<HashMap<String, SessionArchive>>>,
     telemetry: Telemetry,
     instruments: ServiceInstruments,
@@ -1152,7 +1121,6 @@ impl ExplorationService {
         Self {
             config,
             caches: Arc::default(),
-            macro_caches: Arc::default(),
             session_archives: Arc::default(),
             telemetry,
             instruments,
@@ -1199,12 +1167,6 @@ impl ExplorationService {
         self.caches.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_macro_caches(&self) -> MutexGuard<'_, HashMap<String, MacroMetricsCache>> {
-        self.macro_caches
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn lock_session_archives(&self) -> MutexGuard<'_, HashMap<String, SessionArchive>> {
         self.session_archives
             .lock()
@@ -1223,25 +1185,6 @@ impl ExplorationService {
             .clone()
     }
 
-    /// The shared macro-metric cache of one parameter set, creating it
-    /// (with the configured bound) on first use.
-    fn macro_store_for(&self, params: &ModelParams) -> MacroMetricsCache {
-        self.macro_store_for_signature(&params_signature(params))
-    }
-
-    /// [`ExplorationService::macro_store_for`] keyed directly by
-    /// signature — the restore path merges snapshot sections without ever
-    /// reconstructing the `ModelParams` they were recorded under.
-    fn macro_store_for_signature(&self, signature: &str) -> MacroMetricsCache {
-        self.lock_macro_caches()
-            .entry(signature.to_string())
-            .or_insert_with(|| match self.config.macro_metric_capacity {
-                Some(capacity) => MacroMetricsCache::bounded(capacity),
-                None => MacroMetricsCache::new(),
-            })
-            .clone()
-    }
-
     /// Signatures of every design space the service holds a cache for.
     pub fn spaces(&self) -> Vec<String> {
         let mut spaces: Vec<String> = self.lock_caches().keys().cloned().collect();
@@ -1253,13 +1196,6 @@ impl ExplorationService {
     /// [`JobHandle::space`] or a [`SessionArchive::space`] as the key).
     pub fn cache_store(&self, space: &str) -> Option<CacheStore> {
         self.lock_caches().get(space).cloned()
-    }
-
-    /// The shared macro-metric cache of a parameter set, when one exists.
-    pub fn macro_metric_cache(&self, params: &ModelParams) -> Option<MacroMetricsCache> {
-        self.lock_macro_caches()
-            .get(&params_signature(params))
-            .cloned()
     }
 
     /// The most recent [`SessionArchive`] of every design space the
@@ -1290,29 +1226,14 @@ impl ExplorationService {
         self.lock_caches().values().map(CacheStore::len).sum()
     }
 
-    /// Total distinct macro shapes cached across every parameter set.
-    pub fn cached_macro_metrics(&self) -> usize {
-        self.lock_macro_caches()
-            .values()
-            .map(MacroMetricsCache::len)
-            .sum()
-    }
-
     /// Total entries evicted across every cache the service owns — the
     /// number a long-lived deployment graphs to size its bounds.
     pub fn total_evictions(&self) -> u64 {
-        let stores: u64 = self.lock_caches().values().map(CacheStore::evictions).sum();
-        let macros: u64 = self
-            .lock_macro_caches()
-            .values()
-            .map(MacroMetricsCache::evictions)
-            .sum();
-        stores + macros
+        self.lock_caches().values().map(CacheStore::evictions).sum()
     }
 
     /// Persists everything warm about this service — every session
-    /// archive, every evaluation cache, every macro-metric cache — to one
-    /// checksummed `acim-persist` container at `path`.
+    /// archive and every evaluation cache — to one checksummed `acim-persist` container at `path`.
     ///
     /// The write is atomic (temp file + rename): a crash mid-snapshot
     /// leaves either the previous file or no file, never a torn one.
@@ -1347,16 +1268,6 @@ impl ExplorationService {
                     .push(persistence::eval_cache_record(&space, &store));
             }
         }
-        let mut signatures: Vec<String> = self.lock_macro_caches().keys().cloned().collect();
-        signatures.sort();
-        for signature in signatures {
-            let cache = self.lock_macro_caches().get(&signature).cloned();
-            if let Some(cache) = cache {
-                snapshot
-                    .macro_caches
-                    .push(persistence::macro_cache_record(&signature, &cache));
-            }
-        }
         let bytes = snapshot.write(path)?;
         let elapsed = started.elapsed();
         self.instruments
@@ -1367,8 +1278,6 @@ impl ExplorationService {
             genomes: snapshot.genome_count(),
             eval_caches: snapshot.eval_caches.len(),
             evaluations: snapshot.evaluation_count(),
-            macro_caches: snapshot.macro_caches.len(),
-            macro_metrics: snapshot.macro_metric_count(),
             bytes,
             elapsed,
         })
@@ -1391,7 +1300,7 @@ impl ExplorationService {
     /// restores fine; its entries are simply never looked up.
     ///
     /// On success records `service_restore_seconds` and the
-    /// `service_restored_{archives,evaluations,macro_metrics}` counters,
+    /// `service_restored_{archives,evaluations}` counters,
     /// and returns a [`RestoreReport`].
     pub fn restore(&self, path: impl AsRef<Path>) -> Result<RestoreReport, PersistError> {
         let path = path.as_ref();
@@ -1435,13 +1344,6 @@ impl ExplorationService {
             report.evaluations += inserted;
             report.skipped_evaluations += skipped;
         }
-        for record in snapshot.macro_caches {
-            let cache = self.macro_store_for_signature(&record.params);
-            let (inserted, skipped) =
-                cache.import_entries(record.entries.into_iter().map(persistence::macro_entry));
-            report.macro_metrics += inserted;
-            report.skipped_macro_metrics += skipped;
-        }
         report.elapsed = started.elapsed();
         self.instruments
             .restore_seconds
@@ -1452,9 +1354,6 @@ impl ExplorationService {
         self.instruments
             .restored_evaluations
             .add(report.evaluations as u64);
-        self.instruments
-            .restored_macro_metrics
-            .add(report.macro_metrics as u64);
         Ok(report)
     }
 
@@ -1499,9 +1398,6 @@ impl ExplorationService {
         self.instruments
             .cached_evaluations
             .set(self.cached_evaluations() as f64);
-        self.instruments
-            .cached_macro_metrics
-            .set(self.cached_macro_metrics() as f64);
         self.instruments
             .cache_evictions
             .set(self.total_evictions() as f64);
@@ -1809,11 +1705,6 @@ impl ExplorationService {
         if let Some(chip) = &config.chip {
             total += chip.dse.generations;
             chip_options.cache = Some(self.store_for(&chip_space_signature(&chip.dse)));
-            // One macro-metric cache per parameter set: when the chip
-            // stage shares the macro stage's ModelParams, this is the
-            // *same* cache handle — the chip exploration then reuses the
-            // per-macro metrics the macro exploration just derived.
-            chip_options.macro_cache = Some(self.macro_store_for(&chip.dse.params));
         }
         let instruments = self.request_instruments("macro", id, &space, &admission);
         let parent = instruments.root.as_parent();
@@ -1821,7 +1712,6 @@ impl ExplorationService {
         let options = FlowOptions {
             exploration: ExploreOptions {
                 cache: Some(self.store_for(&space)),
-                macro_cache: Some(self.macro_store_for(&config.dse.params)),
                 warm_start,
                 cancel: Some(cancel.clone()),
             },
@@ -1897,7 +1787,6 @@ impl ExplorationService {
         let cancel = Self::cancel_token(&admission);
         let options = ExploreOptions {
             cache: Some(self.store_for(&space)),
-            macro_cache: Some(self.macro_store_for(&config.dse.params)),
             warm_start,
             cancel: Some(cancel.clone()),
         };
@@ -1951,7 +1840,6 @@ impl std::fmt::Debug for ExplorationService {
             .field("queue_depth", &self.queue_depth())
             .field("spaces", &self.spaces())
             .field("cached_evaluations", &self.cached_evaluations())
-            .field("cached_macro_metrics", &self.cached_macro_metrics())
             .field("total_evictions", &self.total_evictions())
             .finish()
     }
@@ -2130,6 +2018,19 @@ mod tests {
         config.dse.params.snr.k4 = f64::NAN;
         match service.submit(ExplorationRequest::macro_space(config)) {
             Err(err @ SubmitError::Invalid(_)) => assert!(err.to_string().contains("k4"), "{err}"),
+            other => panic!("expected SubmitError::Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_compute_time_is_rejected_at_submit() {
+        let service = ExplorationService::new();
+        let mut config = FlowConfig::new(4 * 1024);
+        config.dse.params.timing.t_compute = acim_tech::Picosecond::new(f64::NAN);
+        match service.submit(ExplorationRequest::macro_space(config)) {
+            Err(err @ SubmitError::Invalid(_)) => {
+                assert!(err.to_string().contains("t_compute"), "{err}")
+            }
             other => panic!("expected SubmitError::Invalid, got {other:?}"),
         }
     }
@@ -2504,10 +2405,9 @@ mod tests {
 
     #[test]
     fn eviction_gauge_agrees_with_total_evictions() {
-        // Tight bounds force evictions in both cache layers; the
-        // collector-style gauge must agree with the method at snapshot
-        // time.
-        let service = ExplorationService::with_config(ServiceConfig::bounded(16, 4));
+        // A tight bound forces evictions; the collector-style gauge must
+        // agree with the method at snapshot time.
+        let service = ExplorationService::with_config(ServiceConfig::bounded(16));
         service
             .run(ExplorationRequest::chip_space(quick_chip_config()))
             .unwrap();

@@ -90,15 +90,6 @@ impl ModelInvariants {
     pub fn new(params: &ModelParams) -> Result<Self, ModelError> {
         params.validate()?;
         let timing = &params.timing;
-        if timing.t_compute.value() <= 0.0
-            || timing.tau.value() <= 0.0
-            || timing.t_conv_per_bit.value() <= 0.0
-        {
-            return Err(ModelError::InvalidParameter {
-                name: "timing".into(),
-                reason: "all timing parameters must be positive".into(),
-            });
-        }
         let mut six_b = [0.0; B_TABLE];
         let mut cycle_ps = [0.0; B_TABLE];
         let mut cycle_s = [0.0; B_TABLE];

@@ -44,7 +44,6 @@ pub mod calibrate;
 pub mod energy;
 pub mod error;
 pub mod kernel;
-pub mod key;
 pub mod math;
 pub mod objectives;
 pub mod params;
@@ -56,7 +55,6 @@ pub use calibrate::{calibrate_adc_energy, calibrate_snr_offset, CalibrationRepor
 pub use energy::{energy_per_mac_fj, tops_per_watt};
 pub use error::ModelError;
 pub use kernel::{evaluate_batch, ModelInvariants, SpecBatch};
-pub use key::SpecKey;
 pub use objectives::{evaluate, DesignMetrics};
 pub use params::{AreaParams, DataDistribution, ModelParams, SnrParams};
 pub use snr::{snr_detailed_db, snr_simplified_db, SnrBreakdown};

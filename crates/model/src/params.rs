@@ -205,15 +205,22 @@ impl ModelParams {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidParameter`] when any physical parameter
-    /// is non-positive or non-finite, or the SNR offset `k4` is not finite.
+    /// (areas, `k3`, `C_o`, κ, temperature, the timing constants and
+    /// `vdd`) is non-positive or non-finite, an energy coefficient
+    /// (`e_compute`, `e_control`, `k1`, `k2`) is negative or non-finite, or
+    /// the SNR offset `k4` is not finite.
     pub fn validate(&self) -> Result<(), ModelError> {
         // Fast path: one fused pass over the positivity/finiteness
         // checks.  Validation runs on every scalar evaluation, so the
         // common all-valid case must not pay for error attribution; the
-        // named-diagnostic loop below only runs once something failed.
+        // named-diagnostic loops below only run once something failed.
         fn ok(value: f64) -> bool {
             value > 0.0 && value.is_finite()
         }
+        fn non_negative(value: f64) -> bool {
+            value >= 0.0 && value.is_finite()
+        }
+        let (timing, energy) = (&self.timing, &self.energy);
         if ok(self.area.a_sram.value())
             && ok(self.area.a_lc.value())
             && ok(self.area.a_comp.value())
@@ -222,11 +229,19 @@ impl ModelParams {
             && ok(self.snr.c_o.value())
             && ok(self.kappa)
             && ok(self.temperature_k)
+            && ok(timing.t_compute.value())
+            && ok(timing.tau.value())
+            && ok(timing.t_conv_per_bit.value())
+            && ok(energy.vdd)
+            && non_negative(energy.e_compute.value())
+            && non_negative(energy.e_control.value())
+            && non_negative(energy.k1.value())
+            && non_negative(energy.k2.value())
             && self.snr.k4.is_finite()
         {
             return Ok(());
         }
-        let checks: [(&str, f64); 8] = [
+        let positive: [(&str, f64); 12] = [
             ("a_sram", self.area.a_sram.value()),
             ("a_lc", self.area.a_lc.value()),
             ("a_comp", self.area.a_comp.value()),
@@ -235,12 +250,30 @@ impl ModelParams {
             ("c_o", self.snr.c_o.value()),
             ("kappa", self.kappa),
             ("temperature", self.temperature_k),
+            ("t_compute", timing.t_compute.value()),
+            ("tau", timing.tau.value()),
+            ("t_conv_per_bit", timing.t_conv_per_bit.value()),
+            ("vdd", energy.vdd),
         ];
-        for (name, value) in checks {
-            if value <= 0.0 || !value.is_finite() {
+        for (name, value) in positive {
+            if !ok(value) {
                 return Err(ModelError::InvalidParameter {
                     name: name.to_string(),
                     reason: format!("must be positive and finite, got {value}"),
+                });
+            }
+        }
+        let non_negatives: [(&str, f64); 4] = [
+            ("e_compute", energy.e_compute.value()),
+            ("e_control", energy.e_control.value()),
+            ("k1", energy.k1.value()),
+            ("k2", energy.k2.value()),
+        ];
+        for (name, value) in non_negatives {
+            if !non_negative(value) {
+                return Err(ModelError::InvalidParameter {
+                    name: name.to_string(),
+                    reason: format!("must be finite and non-negative, got {value}"),
                 });
             }
         }
@@ -264,6 +297,7 @@ impl Default for ModelParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acim_tech::{Femtojoule, Picosecond};
 
     #[test]
     fn defaults_validate() {
@@ -298,6 +332,46 @@ mod tests {
         p.snr.k4 = -3.0;
         assert!(p.validate().is_ok());
         assert!(ModelParams::s28_default().snr.k4.is_finite());
+    }
+
+    #[test]
+    fn timing_and_energy_parameters_are_checked_by_name() {
+        type Setter = fn(&mut ModelParams, f64);
+        let positive: [(&str, Setter); 4] = [
+            ("t_compute", |p, v| p.timing.t_compute = Picosecond::new(v)),
+            ("tau", |p, v| p.timing.tau = Picosecond::new(v)),
+            ("t_conv_per_bit", |p, v| {
+                p.timing.t_conv_per_bit = Picosecond::new(v)
+            }),
+            ("vdd", |p, v| p.energy.vdd = v),
+        ];
+        let non_negative: [(&str, Setter); 4] = [
+            ("e_compute", |p, v| p.energy.e_compute = Femtojoule::new(v)),
+            ("e_control", |p, v| p.energy.e_control = Femtojoule::new(v)),
+            ("k1", |p, v| p.energy.k1 = Femtojoule::new(v)),
+            ("k2", |p, v| p.energy.k2 = Femtojoule::new(v)),
+        ];
+        let rejects = |field: &str, set: Setter, value: f64| {
+            let mut p = ModelParams::s28_default();
+            set(&mut p, value);
+            match p.validate() {
+                Err(ModelError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+                other => panic!("{field} = {value} accepted: {other:?}"),
+            }
+        };
+        for (field, set) in positive {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                rejects(field, set, value);
+            }
+        }
+        for (field, set) in non_negative {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                rejects(field, set, value);
+            }
+            let mut p = ModelParams::s28_default();
+            set(&mut p, 0.0);
+            assert!(p.validate().is_ok(), "{field} = 0 rejected");
+        }
     }
 
     #[test]

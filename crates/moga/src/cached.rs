@@ -44,8 +44,7 @@ use crate::shared_cache::SharedCache;
 pub const DEFAULT_QUANTUM: f64 = 1e-9;
 
 /// Hit/miss/eviction counters of a [`CachedProblem`] (or any other cache
-/// reporting through the same shape, like the chip evaluator's
-/// macro-metric cache).
+/// reporting through the same shape).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Evaluations answered from the cache (including duplicates within a
@@ -89,9 +88,7 @@ impl CacheStats {
     }
 }
 
-/// The hit/miss/eviction counter triple every cache layer in this
-/// workspace records into — [`CachedProblem`] here, the chip evaluator's
-/// `MacroCacheClient` downstream.
+/// The hit/miss/eviction counter triple [`CachedProblem`] records into.
 ///
 /// The counters are telemetry [`Counter`]s: lock-free handles that a
 /// telemetry registry can adopt (so a service exposes the *same* counters
@@ -231,8 +228,8 @@ impl CacheStore {
     /// `compute` runs **under the store lock**: it must stay cheap (a key
     /// derivation, a pre-computed value), because it serializes every
     /// other tenant of a shared store while it runs — real evaluations
-    /// belong outside the lock in the racy-get / first-wins-insert
-    /// pattern of `acim_chip`'s `MacroCacheClient::get_or_derive`.  A
+    /// belong outside the lock, in a racy get followed by a first-wins
+    /// [`SharedCache::try_insert`](crate::SharedCache::try_insert).  A
     /// panicking closure poisons the mutex — which the store tolerates
     /// (see the type-level docs), so a panicking tenant costs only its
     /// own request.

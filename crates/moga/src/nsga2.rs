@@ -114,10 +114,9 @@ pub struct EvalStats {
     /// Hit/miss counters of the evaluation cache ([`CacheStats::default`]
     /// when no cache was involved).
     pub cache: CacheStats,
-    /// Hit/miss counters of the **macro-metric reuse layer** — the cache
-    /// of per-macro `DesignMetrics` consulted below the genome-level
-    /// evaluation cache (see `acim_chip::MacroMetricsCache`).  Stays at
-    /// the zero default for problems without a macro-metric cache.
+    /// Always [`CacheStats::default`]: per-macro metrics are derived
+    /// directly, with no cache below the genome-level one.  Kept because
+    /// the `perfbench` harness reads it; that is its only reader.
     pub macro_cache: CacheStats,
     /// Wall-clock seconds spent inside [`Problem::evaluate_batch`].
     pub eval_seconds: f64,

@@ -1,14 +1,9 @@
-//! The one generic bounded-cache core under every shared cache in this
-//! workspace.
+//! The generic bounded-cache core under the genome-level `CacheStore`.
 //!
-//! PR 5 grew two structurally identical cache handles — the genome-level
-//! `CacheStore` here in `acim-moga` and the macro-level
-//! `MacroMetricsCache` in `acim-chip` — each hand-rolling the same
-//! `Arc<Mutex<ClockMap>>` plumbing: CLOCK-bounded storage, poison-tolerant
-//! locking, eviction accounting, `Arc`-identity sharing.  [`SharedCache`]
-//! folds that duplication onto one generic wrapper, so the concrete
-//! caches are thin delegating newtypes and the locking/eviction/poison
-//! semantics cannot drift apart.
+//! [`SharedCache`] owns the `Arc<Mutex<ClockMap>>` plumbing: CLOCK-bounded
+//! storage, poison-tolerant locking, eviction accounting and
+//! `Arc`-identity sharing, so a concrete cache is a thin delegating
+//! newtype.
 //!
 //! # Poison tolerance
 //!

@@ -1,11 +1,10 @@
 //! Durable snapshot container for the exploration service.
 //!
 //! The paper's agility pitch is *design reuse*: distilled Pareto points
-//! and per-macro metrics feed later explorations.  Everything the
-//! `easyacim::ExplorationService` accumulates toward that reuse — session
-//! archives (warm-start genomes per design space), genome-level
-//! evaluation caches, macro-metric caches — lives in process memory and
-//! dies with it.  This crate is the wire format that lets a service write
+//! feed later explorations.  Everything the `easyacim::ExplorationService`
+//! accumulates toward that reuse — session archives (warm-start genomes
+//! per design space) and genome-level evaluation caches — lives in
+//! process memory and dies with it.  This crate is the wire format that lets a service write
 //! all of it to one file and a restarted service read it back, so the
 //! first request after a restart reaches warm-start speed.
 //!
@@ -49,6 +48,13 @@
 //! kinds, defensively) rather than guessing.  A newer reader may add
 //! back-compat decoding for older versions; a writer only ever emits the
 //! current one.
+//!
+//! Version 1 knows three section kinds: 1 (session archive), 2 (evaluation
+//! cache) and 3 (macro-metric cache).  Kind 3 is retired: the writer no
+//! longer emits it, and the reader verifies its checksum and then skips
+//! it, so files written by older builds still restore their archives and
+//! evaluation caches.  Retiring a kind needs no version bump; reusing its
+//! number for a new layout would.  Kinds 4 and above are corrupt.
 #![forbid(unsafe_code)]
 
 mod container;
@@ -60,6 +66,4 @@ mod wire;
 pub use container::FORMAT_VERSION;
 pub use crc::crc32;
 pub use error::PersistError;
-pub use snapshot::{
-    ArchiveRecord, EvalCacheRecord, EvalEntry, MacroCacheRecord, MacroEntry, Snapshot,
-};
+pub use snapshot::{ArchiveRecord, EvalCacheRecord, EvalEntry, Snapshot};

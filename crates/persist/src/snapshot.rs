@@ -1,6 +1,6 @@
-//! The typed snapshot payload: session archives, genome-level evaluation
-//! caches, macro-metric caches — everything the exploration service
-//! accumulates toward design reuse, as plain data.
+//! The typed snapshot payload: session archives and genome-level
+//! evaluation caches — everything the exploration service accumulates
+//! toward design reuse, as plain data.
 //!
 //! The records here are deliberately *plain* (strings, integer words,
 //! `f64`s): this crate knows the wire shapes, the `easyacim` service owns
@@ -24,7 +24,9 @@ use crate::wire::{Reader, Writer};
 
 const SECTION_ARCHIVE: u32 = 1;
 const SECTION_EVAL_CACHE: u32 = 2;
-const SECTION_MACRO_CACHE: u32 = 3;
+/// Per-parameter-set macro-metric caches, written by older builds.  The
+/// reader verifies their checksum and skips them; nothing writes them.
+const SECTION_RETIRED_MACRO_CACHE: u32 = 3;
 
 /// One warm-start session archive: the design-space signature and the
 /// frontier re-encoded as a uniform-width genome matrix.
@@ -59,37 +61,6 @@ pub struct EvalCacheRecord {
     pub entries: Vec<EvalEntry>,
 }
 
-/// One cached macro derivation: the `SpecKey` packed as its four
-/// dimension words, the five closed-form design metrics, and the macro
-/// cycle time — the full `SpecKey → DesignMetrics + cycle time` codec.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MacroEntry {
-    /// The `(H, W, L, B_ADC)` dimension words of the macro key.
-    pub key: [u32; 4],
-    /// Estimated SNR in dB.
-    pub snr_db: f64,
-    /// Estimated throughput in TOPS.
-    pub throughput_tops: f64,
-    /// Estimated energy per 1-bit MAC in fJ.
-    pub energy_per_mac_fj: f64,
-    /// Energy efficiency in TOPS/W.
-    pub tops_per_watt: f64,
-    /// Estimated area per bit in F².
-    pub area_f2_per_bit: f64,
-    /// The macro's cycle time in ns.
-    pub cycle_ns: f64,
-}
-
-/// The contents of one per-parameter-set macro-metric cache.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MacroCacheRecord {
-    /// The model-parameter signature the cache is paired with
-    /// (`params/…`).
-    pub params: String,
-    /// The cached per-macro derivations.
-    pub entries: Vec<MacroEntry>,
-}
-
 /// Everything one service snapshot carries.  Section order is preserved
 /// through a round trip, so a writer that sorts its registries gets
 /// byte-deterministic files.
@@ -99,8 +70,6 @@ pub struct Snapshot {
     pub archives: Vec<ArchiveRecord>,
     /// One record per genome-level evaluation cache.
     pub eval_caches: Vec<EvalCacheRecord>,
-    /// One record per macro-metric cache.
-    pub macro_caches: Vec<MacroCacheRecord>,
 }
 
 impl Snapshot {
@@ -111,7 +80,7 @@ impl Snapshot {
 
     /// Returns `true` when the snapshot carries nothing.
     pub fn is_empty(&self) -> bool {
-        self.archives.is_empty() && self.eval_caches.is_empty() && self.macro_caches.is_empty()
+        self.archives.is_empty() && self.eval_caches.is_empty()
     }
 
     /// Total archived genomes across every archive.
@@ -122,11 +91,6 @@ impl Snapshot {
     /// Total cached evaluations across every evaluation-cache record.
     pub fn evaluation_count(&self) -> usize {
         self.eval_caches.iter().map(|c| c.entries.len()).sum()
-    }
-
-    /// Total cached macro derivations across every macro-cache record.
-    pub fn macro_metric_count(&self) -> usize {
-        self.macro_caches.iter().map(|c| c.entries.len()).sum()
     }
 
     /// Serializes the snapshot into one self-verifying byte container.
@@ -147,12 +111,6 @@ impl Snapshot {
             sections.push(Section {
                 kind: SECTION_EVAL_CACHE,
                 payload: encode_eval_cache(cache)?,
-            });
-        }
-        for cache in &self.macro_caches {
-            sections.push(Section {
-                kind: SECTION_MACRO_CACHE,
-                payload: encode_macro_cache(cache)?,
             });
         }
         Ok(container::encode(&sections))
@@ -176,9 +134,9 @@ impl Snapshot {
                 SECTION_EVAL_CACHE => snapshot
                     .eval_caches
                     .push(decode_eval_cache(payload).map_err(corrupt)?),
-                SECTION_MACRO_CACHE => snapshot
-                    .macro_caches
-                    .push(decode_macro_cache(payload).map_err(corrupt)?),
+                // Its checksum matched in `container::decode`; the cache
+                // it carried no longer exists.
+                SECTION_RETIRED_MACRO_CACHE => {}
                 unknown => {
                     // Unknown kinds under the *current* version are
                     // corruption, not forward compatibility — new kinds
@@ -340,52 +298,6 @@ fn decode_eval_cache(payload: &[u8]) -> Result<EvalCacheRecord, String> {
     Ok(EvalCacheRecord { space, entries })
 }
 
-fn encode_macro_cache(record: &MacroCacheRecord) -> Result<Vec<u8>, PersistError> {
-    let mut writer = Writer::new();
-    writer.put_str(&record.params);
-    writer.put_u32(checked_u32(record.entries.len(), "macro metric")?);
-    for entry in &record.entries {
-        for &word in &entry.key {
-            writer.put_u32(word);
-        }
-        for value in [
-            entry.snr_db,
-            entry.throughput_tops,
-            entry.energy_per_mac_fj,
-            entry.tops_per_watt,
-            entry.area_f2_per_bit,
-            entry.cycle_ns,
-        ] {
-            writer.put_f64(value);
-        }
-    }
-    Ok(writer.into_bytes())
-}
-
-fn decode_macro_cache(payload: &[u8]) -> Result<MacroCacheRecord, String> {
-    let mut reader = Reader::new(payload);
-    let params = reader.take_str()?;
-    let count = reader.take_u32()? as usize;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        let mut key = [0u32; 4];
-        for word in &mut key {
-            *word = reader.take_u32()?;
-        }
-        entries.push(MacroEntry {
-            key,
-            snr_db: reader.take_f64()?,
-            throughput_tops: reader.take_f64()?,
-            energy_per_mac_fj: reader.take_f64()?,
-            tops_per_watt: reader.take_f64()?,
-            area_f2_per_bit: reader.take_f64()?,
-            cycle_ns: reader.take_f64()?,
-        });
-    }
-    reader.finish()?;
-    Ok(MacroCacheRecord { params, entries })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,18 +323,6 @@ mod tests {
                     },
                 ],
             }],
-            macro_caches: vec![MacroCacheRecord {
-                params: "params/#fedcba9876543210".into(),
-                entries: vec![MacroEntry {
-                    key: [128, 32, 4, 3],
-                    snr_db: 31.4,
-                    throughput_tops: 2.2,
-                    energy_per_mac_fj: 140.0,
-                    tops_per_watt: 7.1,
-                    area_f2_per_bit: 950.0,
-                    cycle_ns: 4.4,
-                }],
-            }],
         }
     }
 
@@ -434,11 +334,74 @@ mod tests {
         assert_eq!(decoded, snapshot);
         assert_eq!(decoded.genome_count(), 2);
         assert_eq!(decoded.evaluation_count(), 2);
-        assert_eq!(decoded.macro_metric_count(), 1);
         assert!(!decoded.is_empty());
         assert!(Snapshot::new().is_empty());
         // Encoding is deterministic: same snapshot, same bytes.
         assert_eq!(snapshot.to_bytes().unwrap(), bytes);
+    }
+
+    /// A macro-metric cache section as older builds wrote it: the
+    /// parameter signature, the entry count, then per entry the four
+    /// `(H, W, L, B_ADC)` words and six `f64` metrics.
+    fn retired_macro_cache_payload() -> Vec<u8> {
+        let mut writer = Writer::new();
+        writer.put_str("params/#fedcba9876543210");
+        writer.put_u32(1);
+        for word in [128, 32, 4, 3] {
+            writer.put_u32(word);
+        }
+        for value in [31.4, 2.2, 140.0, 7.1, 950.0, 4.4] {
+            writer.put_f64(value);
+        }
+        writer.into_bytes()
+    }
+
+    #[test]
+    fn older_macro_cache_sections_are_verified_then_skipped() {
+        let sample = sample_snapshot();
+        let bytes = container::encode(&[
+            Section {
+                kind: SECTION_ARCHIVE,
+                payload: encode_archive(&sample.archives[0]).unwrap(),
+            },
+            Section {
+                kind: SECTION_RETIRED_MACRO_CACHE,
+                payload: retired_macro_cache_payload(),
+            },
+            Section {
+                kind: SECTION_EVAL_CACHE,
+                payload: encode_eval_cache(&sample.eval_caches[0]).unwrap(),
+            },
+        ]);
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), sample);
+        // The writer never emits the retired kind.
+        let written = sample.to_bytes().unwrap();
+        assert!(container::decode(&written)
+            .unwrap()
+            .iter()
+            .all(|(kind, _)| *kind != SECTION_RETIRED_MACRO_CACHE));
+        // Its payload is still checksummed like any other section.
+        let payload_at = bytes.len() - encode_eval_cache(&sample.eval_caches[0]).unwrap().len() - 1;
+        let mut flipped = bytes.clone();
+        flipped[payload_at] ^= 0x01;
+        assert!(matches!(
+            Snapshot::from_bytes(&flipped),
+            Err(PersistError::SectionChecksum { index: 1, kind: 3 })
+        ));
+    }
+
+    #[test]
+    fn unknown_section_kinds_are_corrupt() {
+        for kind in [4, 5, u32::MAX] {
+            let bytes = container::encode(&[Section {
+                kind,
+                payload: Vec::new(),
+            }]);
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes),
+                Err(PersistError::SectionCorrupt { index: 0, .. })
+            ));
+        }
     }
 
     #[test]

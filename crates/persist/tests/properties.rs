@@ -4,9 +4,7 @@
 //! boundary, any single-byte flip) always come back as a typed
 //! [`PersistError`], never a panic and never silently-wrong data.
 
-use acim_persist::{
-    ArchiveRecord, EvalCacheRecord, EvalEntry, MacroCacheRecord, MacroEntry, PersistError, Snapshot,
-};
+use acim_persist::{ArchiveRecord, EvalCacheRecord, EvalEntry, PersistError, Snapshot};
 use proptest::prelude::*;
 
 /// Any `f64` bit pattern at all: NaNs with payloads, infinities,
@@ -70,40 +68,15 @@ fn eval_cache() -> impl Strategy<Value = EvalCacheRecord> {
         .prop_map(|(space, entries)| EvalCacheRecord { space, entries })
 }
 
-fn macro_cache() -> impl Strategy<Value = MacroCacheRecord> {
-    (
-        signature("params/"),
-        prop::collection::vec(
-            (
-                (1u32..1024, 1u32..1024, 1u32..16, 1u32..9),
-                prop::collection::vec(any_bits_f64(), 6),
-            )
-                .prop_map(|((h, w, l, b), values)| MacroEntry {
-                    key: [h, w, l, b],
-                    snr_db: values[0],
-                    throughput_tops: values[1],
-                    energy_per_mac_fj: values[2],
-                    tops_per_watt: values[3],
-                    area_f2_per_bit: values[4],
-                    cycle_ns: values[5],
-                }),
-            0..8,
-        ),
-    )
-        .prop_map(|(params, entries)| MacroCacheRecord { params, entries })
-}
-
 fn snapshot() -> impl Strategy<Value = Snapshot> {
     (
         prop::collection::vec(archive(), 0..4),
         prop::collection::vec(eval_cache(), 0..4),
-        prop::collection::vec(macro_cache(), 0..3),
     )
-        .prop_map(|(archives, eval_caches, macro_caches)| {
+        .prop_map(|(archives, eval_caches)| {
             let mut snapshot = Snapshot::new();
             snapshot.archives = archives;
             snapshot.eval_caches = eval_caches;
-            snapshot.macro_caches = macro_caches;
             snapshot
         })
 }
@@ -121,7 +94,6 @@ proptest! {
         prop_assert_eq!(decoded.to_bytes().unwrap(), bytes);
         prop_assert_eq!(decoded.genome_count(), snapshot.genome_count());
         prop_assert_eq!(decoded.evaluation_count(), snapshot.evaluation_count());
-        prop_assert_eq!(decoded.macro_metric_count(), snapshot.macro_metric_count());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! cargo run --release --example exploration_service -- --quick
 //! # bound the shared caches (exercises CLOCK eviction; the CI smoke job
 //! # runs this to prove bounded caches change counters, not results):
-//! cargo run --release --example exploration_service -- --quick --cache-cap 48
+//! cargo run --release --example exploration_service -- --quick --cache-cap 16
 //! # oversubscribe the worker set ~4x and prove — via the telemetry
 //! # gauges — that the scheduler never runs more jobs than workers:
 //! cargo run --release --example exploration_service -- --quick --oversubscribe
@@ -77,15 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     chip.validate_best = false;
 
     let service_config = match cache_cap {
-        // Evaluation caches at the requested bound; macro-metric caches
-        // far smaller (they hold distinct macro *shapes*, a much smaller
-        // population than distinct genomes).
         Some(cap) => {
-            println!(
-                "bounded caches: {cap} evaluations / {} macro metrics per store",
-                (cap / 8).max(2)
-            );
-            ServiceConfig::bounded(cap, (cap / 8).max(2))
+            println!("bounded caches: {cap} evaluations per store");
+            ServiceConfig::bounded(cap)
         }
         None => ServiceConfig::default(),
     };
@@ -221,11 +215,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!(
-        "service caches: {} distinct designs across {} design spaces, \
-         {} distinct macro metrics, {} evictions",
+        "service caches: {} distinct designs across {} design spaces, {} evictions",
         service.cached_evaluations(),
         service.spaces().len(),
-        service.cached_macro_metrics(),
         service.total_evictions(),
     );
     if let Some(cap) = cache_cap {

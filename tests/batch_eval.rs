@@ -146,12 +146,12 @@ fn batched_nsga2_matches_forced_serial_path_on_the_chip_problem() {
 
 #[test]
 fn soa_batched_exploration_reproduces_the_scalar_path_front() {
-    // A detached macro problem routes whole cohorts through the
-    // struct-of-arrays batch kernel; attaching a macro-metric cache forces
-    // every genome down the per-genome scalar route instead.  A seeded
-    // exploration must produce a bit-identical Pareto front either way —
-    // the SoA kernel is only allowed to be faster, never different.
-    use acim_chip::MacroMetricsCache;
+    // The macro problem routes whole cohorts through the struct-of-arrays
+    // batch kernel; `ForcedSerial` forwards only `evaluate`, so the
+    // trait's default batch sends every genome down the per-genome scalar
+    // route instead.  A seeded exploration must produce a bit-identical
+    // Pareto front either way — the SoA kernel is only allowed to be
+    // faster, never different.
     let config = Nsga2Config {
         population_size: 24,
         generations: 10,
@@ -161,12 +161,9 @@ fn soa_batched_exploration_reproduces_the_scalar_path_front() {
         let soa = Nsga2::new(macro_problem(), config.clone())
             .with_seed(seed)
             .run();
-        let scalar = Nsga2::new(
-            macro_problem().with_macro_cache(MacroMetricsCache::new()),
-            config.clone(),
-        )
-        .with_seed(seed)
-        .run();
+        let scalar = Nsga2::new(ForcedSerial(macro_problem()), config.clone())
+            .with_seed(seed)
+            .run();
         assert_eq!(soa.pareto_objectives(), scalar.pareto_objectives());
         for (a, b) in soa.population.iter().zip(&scalar.population) {
             assert_eq!(a.genes, b.genes);

@@ -48,7 +48,6 @@ fn assert_cold(service: &ExplorationService) {
     assert!(service.archives().is_empty());
     assert!(service.spaces().is_empty());
     assert_eq!(service.cached_evaluations(), 0);
-    assert_eq!(service.cached_macro_metrics(), 0);
 }
 
 #[test]
@@ -66,9 +65,7 @@ fn restored_service_is_bit_identical_to_the_warm_original() {
     assert_eq!(report.archives, 1);
     assert_eq!(report.genomes, cold.session.len());
     assert_eq!(report.evaluations, original.cached_evaluations());
-    assert_eq!(report.macro_metrics, original.cached_macro_metrics());
     assert!(report.evaluations > 0);
-    assert!(report.macro_metrics > 0);
     assert_eq!(report.bytes, fs::metadata(&path).unwrap().len());
 
     // A fresh process: restore, then warm-start from the restored archive.
@@ -76,7 +73,6 @@ fn restored_service_is_bit_identical_to_the_warm_original() {
     let restore = restored.restore(&path).unwrap();
     assert_eq!(restore.archives, 1);
     assert_eq!(restore.evaluations, report.evaluations);
-    assert_eq!(restore.macro_metrics, report.macro_metrics);
     assert_eq!(restore.skipped_evaluations, 0);
     assert_eq!(restore.bytes, report.bytes);
     assert_eq!(restored.cached_evaluations(), original.cached_evaluations());
@@ -113,10 +109,6 @@ fn restored_service_is_bit_identical_to_the_warm_original() {
         "service_restored_evaluations {}",
         restore.evaluations
     )));
-    assert!(text.contains(&format!(
-        "service_restored_macro_metrics {}",
-        restore.macro_metrics
-    )));
     assert!(text.contains("service_restore_seconds"));
 
     fs::remove_file(&path).unwrap();
@@ -141,8 +133,6 @@ fn restoring_into_a_live_service_is_first_wins() {
     assert_eq!(report.skipped_archives, 1);
     assert_eq!(report.evaluations, 0);
     assert_eq!(report.skipped_evaluations, before);
-    assert_eq!(report.macro_metrics, 0);
-    assert!(report.skipped_macro_metrics > 0);
     assert_eq!(service.cached_evaluations(), before);
 
     fs::remove_file(&path).unwrap();

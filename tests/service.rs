@@ -272,53 +272,6 @@ fn warm_started_macro_flow_round_trips_through_the_service() {
 }
 
 #[test]
-fn macro_metric_cache_is_shared_across_mixed_macro_and_chip_sessions() {
-    // The macro flow and the chip stage here run over the SAME
-    // ModelParams, so the service hands both the same macro-metric
-    // cache: per-macro DesignMetrics derived by the macro exploration
-    // are hits for the chip exploration that follows.
-    let service = ExplorationService::new();
-    let macro_response = service
-        .run(ExplorationRequest::macro_space(quick_flow_config()))
-        .unwrap()
-        .into_macro()
-        .unwrap();
-    let macro_stats = macro_response.result.engine.macro_cache;
-    assert!(macro_stats.misses > 0, "macro session primes the cache");
-    assert!(service.cached_macro_metrics() > 0);
-
-    let chip_response = service
-        .run(ExplorationRequest::chip_space(quick_chip_config()))
-        .unwrap()
-        .into_chip()
-        .unwrap();
-    let chip_stats = chip_response.result.engine.macro_cache;
-    assert!(
-        chip_stats.hits > 0,
-        "chip session must reuse macro-session metrics: {chip_stats}"
-    );
-
-    // Both sessions read one cache: the registry holds exactly one
-    // macro-metric cache (one shared ModelParams).
-    let params = quick_chip_config().dse.params;
-    let cache = service
-        .macro_metric_cache(&params)
-        .expect("cache exists for the shared parameter set");
-    assert_eq!(service.cached_macro_metrics(), cache.len());
-
-    // A chip request on a FRESH service (no macro session first) derives
-    // its macros itself — the mixed session above saved that work.
-    let cold = ExplorationService::new();
-    let cold_chip = cold
-        .run(ExplorationRequest::chip_space(quick_chip_config()))
-        .unwrap()
-        .into_chip()
-        .unwrap();
-    assert!(cold_chip.result.engine.macro_cache.misses > chip_stats.misses);
-    assert_same_chip_frontier(&cold_chip.result.front, &chip_response.result.front);
-}
-
-#[test]
 fn bounded_service_evicts_without_changing_frontiers() {
     let unbounded = ExplorationService::new();
     let reference = unbounded
@@ -327,8 +280,8 @@ fn bounded_service_evicts_without_changing_frontiers() {
         .into_chip()
         .unwrap();
 
-    // Tiny bounds so a quick run is forced to recycle entries.
-    let bounded = ExplorationService::with_config(ServiceConfig::bounded(16, 2));
+    // A tiny bound so a quick run is forced to recycle entries.
+    let bounded = ExplorationService::with_config(ServiceConfig::bounded(16));
     assert_eq!(bounded.config().cache_capacity, Some(16));
     let constrained = bounded
         .run(ExplorationRequest::chip_space(quick_chip_config()))
@@ -337,10 +290,9 @@ fn bounded_service_evicts_without_changing_frontiers() {
         .unwrap();
     assert!(
         bounded.total_evictions() > 0,
-        "16-entry evaluation cache plus 2-macro metric cache must evict"
+        "16-entry evaluation cache must evict"
     );
     assert!(bounded.cached_evaluations() <= 16);
-    assert!(bounded.cached_macro_metrics() <= 2);
     assert!(constrained.result.engine.cache.evictions > 0);
     // Eviction costs hits, never results.
     assert_same_chip_frontier(&reference.result.front, &constrained.result.front);
@@ -420,7 +372,6 @@ fn full_hit_replay_reports_finite_rates_and_clean_reports() {
     assert!(engine.evaluations_per_second().is_finite());
     assert!(engine.mean_generation_seconds().is_finite());
     assert!(engine.cache.hit_rate().is_finite());
-    assert!(engine.macro_cache.hit_rate().is_finite());
     // "pJ/inf" (energy per inference) is a legitimate unit label; a
     // leaked non-finite value formats as a standalone "inf"/"-inf"/"NaN".
     let report = easyacim::chip_report(&replay.result);
@@ -428,10 +379,9 @@ fn full_hit_replay_reports_finite_rates_and_clean_reports() {
         !report.contains("NaN") && !report.contains(" inf") && !report.contains("-inf"),
         "report leaked a non-finite number:\n{report}"
     );
-    // The always-rendered telemetry line and the macro-metric reuse line
-    // survive the zero-duration replay with finite values too.
+    // The always-rendered telemetry line survives the zero-duration
+    // replay with finite values too.
     assert!(report.contains("telemetry: generation p50"));
-    assert!(report.contains("macro-metric reuse:"));
     // Same for the service-level telemetry section: a replay whose
     // request latency histogram holds near-zero observations must still
     // render finite quantiles everywhere.
